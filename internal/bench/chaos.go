@@ -3,7 +3,7 @@
 // injector enabled and a client killed mid-run, then reports the
 // recovery counters and the leak audit. Every run is a pure function
 // of the seed, so two runs of the same seed must be byte-identical —
-// the determinism golden test (TestChaosDeterministic) relies on it.
+// the output golden (testdata/golden/chaos.txt) relies on it.
 package bench
 
 import (

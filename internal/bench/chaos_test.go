@@ -1,74 +1,10 @@
 package bench
 
 import (
-	"bytes"
-	"encoding/json"
-	"strings"
 	"testing"
 
-	"copier/internal/obs"
 	"copier/internal/sim"
 )
-
-// TestChaosDeterministic is the failure-path repeatability golden:
-// the chaos experiment injects engine faults and kills a client
-// mid-run, so it exercises retry backoff, DMA→CPU fallback and the
-// teardown protocol — and all of it must still be a pure function of
-// the seed. Two in-process runs must agree byte for byte on the
-// printed tables and the Perfetto export.
-func TestChaosDeterministic(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs chaos twice")
-	}
-	tbl1, exp1, rec := runTraced(t, "chaos")
-	tbl2, exp2, _ := runTraced(t, "chaos")
-
-	if tbl1 != tbl2 {
-		t.Errorf("printed series differ between runs:\n%s", lineDiff(tbl1, tbl2))
-	}
-	if !bytes.Equal(exp1, exp2) {
-		t.Errorf("obs exports differ between runs:\n%s",
-			lineDiff(string(exp1), string(exp2)))
-	}
-	if !json.Valid(exp1) {
-		t.Fatal("export is not valid JSON")
-	}
-	if strings.Contains(tbl1, "CORRUPT") {
-		t.Fatal("chaos run reported corrupted data")
-	}
-
-	// The trace must show the whole failure lifecycle: injected
-	// faults, granted retries, cooldown fallbacks and the client
-	// teardown.
-	for _, k := range []obs.EventKind{obs.EvFaultInjected, obs.EvTaskRetry,
-		obs.EvEngineFallback, obs.EvClientTeardown} {
-		if rec.CountOf(k) == 0 {
-			t.Errorf("no %s events in the chaos trace", k)
-		}
-	}
-	// At least one retried task must also have completed: the trace
-	// proves a retry that succeeded, not only retries that gave up.
-	retried := map[int64]bool{}
-	completed := map[int64]bool{}
-	rec.Events(func(e *obs.Event) {
-		switch e.Kind {
-		case obs.EvTaskRetry:
-			retried[e.A] = true
-		case obs.EvTaskComplete:
-			completed[e.A] = true
-		}
-	})
-	recovered := false
-	for id := range retried {
-		if completed[id] {
-			recovered = true
-			break
-		}
-	}
-	if !recovered {
-		t.Error("no task in the trace was retried and then completed")
-	}
-}
 
 // TestChaosInvariants asserts the leak audit numerically on a direct
 // run (the table only prints the counters).

@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"bytes"
-	"encoding/json"
 	"testing"
 
 	"copier/internal/sim"
@@ -92,34 +90,6 @@ func TestChaosFleetInvariants(t *testing.T) {
 		t.Errorf("worst-day backlog unbounded: peak %d bytes", maxB)
 	}
 }
-
-// TestChaosFleetDeterministic is the worst-day repeatability golden:
-// engine death, quarantine probes, brownout transitions, and shedding
-// decisions must all replay byte-identically — both the printed table
-// and the Perfetto export.
-func TestChaosFleetDeterministic(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs chaosfleet twice")
-	}
-	tbl1, exp1, rec := runTraced(t, "chaosfleet")
-	tbl2, exp2, _ := runTraced(t, "chaosfleet")
-
-	if tbl1 != tbl2 {
-		t.Errorf("printed series differ between runs:\n%s", lineDiff(tbl1, tbl2))
-	}
-	if !bytes.Equal(exp1, exp2) {
-		t.Errorf("obs exports differ between runs:\n%s",
-			lineDiff(string(exp1), string(exp2)))
-	}
-	if !json.Valid(exp1) {
-		t.Fatal("export is not valid JSON")
-	}
-	if rec.Total() == 0 {
-		t.Fatal("recorder saw no events")
-	}
-}
-
-func TestShardIdentityChaosFleet(t *testing.T) { testShardIdentity(t, "chaosfleet") }
 
 // TestCompressWindow pins the overload-window transform: gaps outside
 // the window unchanged, gaps inside divided (floored at one cycle),

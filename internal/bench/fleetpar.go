@@ -250,6 +250,6 @@ func runFleetPar(s Scale) []*Table {
 		fmt.Sprintf("%.1f", cycles.ToMicroseconds(sim.Time(r.P99))),
 		fmt.Sprintf("%.1f", cycles.ToMicroseconds(sim.Time(r.Mean))))
 	t.Note("one shard per NUMA node; 25%% of each shard's arrivals forwarded to the next node with delay = remote submit latency (= the lookahead)")
-	t.Note("output is byte-identical for every worker count (enforced by TestShardIdentityFleetPar); wall-clock speedup is recorded in the microbench report")
+	t.Note("output is byte-identical for every worker count (enforced by the TestGoldens 4-worker rerun); wall-clock speedup is recorded in the microbench report")
 	return []*Table{t}
 }
