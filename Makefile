@@ -40,7 +40,7 @@ fuzz:
 	go test ./internal/bench -run=^$$ -fuzz=FuzzArrivalSchedule -fuzztime=30s
 
 # Full chaos sweep: seeded fault injection + client death over the
-# copy service, plus the determinism goldens that run it twice.
+# copy service, plus the chaos and chaosfleet output goldens.
 chaos:
 	go run ./cmd/copierbench -run chaos -full
-	go test -run 'TestChaos' -v ./internal/bench
+	go test -run 'TestChaos|TestGoldens/^chaos' -v ./internal/bench

@@ -21,10 +21,11 @@
 // refresh BENCH_results.json.
 //
 // -shards N runs parallelizable experiments (fig9, fig12b, chaos,
-// fleet, fleetpar) on N host worker threads. Output is byte-identical
-// at every value — the conservative-lookahead window and the job
-// pool's index-ordered merge guarantee it, and the TestShardIdentity*
-// goldens enforce it — so the flag changes wall clock only.
+// fleet, fleetpar, chaosfleet) on N host worker threads. Output is
+// byte-identical at every value — the conservative-lookahead window
+// and the job pool's index-ordered merge guarantee it, and the output
+// goldens (internal/bench/testdata/golden, checked at 1 and 4
+// workers) enforce it — so the flag changes wall clock only.
 package main
 
 import (

@@ -94,7 +94,8 @@ var registry []Experiment
 // parWorkers is the host worker-thread count experiments use for
 // independent simulation cells (sim.RunJobs) and sharded runs
 // (sim.ShardSet). Output bytes are identical for every value — only
-// wall clock changes; the shards=1-vs-N identity tests enforce it.
+// wall clock changes; the output goldens, checked at 1 and 4 workers,
+// enforce it.
 var parWorkers = 1
 
 // SetWorkers configures how many host threads experiments with

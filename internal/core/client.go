@@ -107,7 +107,6 @@ type Client struct {
 	partsBuf []srcPart
 	dmaMark  []bool
 	pairBuf  [][2]hw.FrameRange
-	pairBuf2 [][2]hw.FrameRange
 	pendBuf  []sim.Time
 	engBuf   []int
 

@@ -747,23 +747,6 @@ func (s *Service) dispatch(ctx Ctx, c *Client, all []chunk) {
 				A: int64(all[0].task.ID), B: int64(total)})
 		}
 	}
-	flatProbe := false
-	if useDMA && len(s.dmas) == 1 {
-		// Health gate for the flat machine's only engine: quarantined or
-		// dead, the round runs entirely on the CPU engines (the sharded
-		// path filters per engine instead).
-		ok, probe := s.engineAvailable(0, s.now())
-		if !ok {
-			useDMA = false
-			s.Stats.FallbackBytes += int64(total)
-			if rec := s.env.Recorder(); rec != nil {
-				rec.Emit(obs.Event{T: int64(s.now()), Kind: obs.EvEngineFallback, Layer: obs.LayerCore,
-					Track: "core:tasks", Name: all[0].task.Client.Name,
-					A: int64(all[0].task.ID), B: int64(total)})
-			}
-		}
-		flatProbe = probe
-	}
 	if useDMA {
 		// Walk from the back, greedily moving DMA-eligible chunks to
 		// the DMA engine while its estimated finish time stays below
@@ -789,52 +772,12 @@ func (s *Service) dispatch(ctx Ctx, c *Client, all []chunk) {
 		}
 	}
 
-	// Submit the DMA batch first (§4.3 parallel execution). The round
+	// Submit the DMA chunks first (§4.3 parallel execution). The round
 	// does NOT wait for DMA completion: segments are marked "issued"
 	// now and complete asynchronously; the service keeps polling
 	// while transfers are outstanding and finishes tasks as their
 	// descriptors fill in.
-	if ndma > 0 && len(s.dmas) == 1 {
-		if flatProbe {
-			// Work is actually reaching the quarantined engine: mark the
-			// half-open probe in flight so re-admission waits for its
-			// outcome (marking at availability-check time would wedge the
-			// engine if no chunk were ever submitted).
-			s.markProbe(0)
-		}
-		b := s.getDMABatch()
-		b.eng = 0
-		pairs := c.pairBuf[:0]
-		for i, ch := range all {
-			if dmaSet[i] {
-				pairs = append(pairs, [2]hw.FrameRange{ch.dst, ch.src})
-				b.chunks = append(b.chunks, ch)
-			}
-		}
-		c.pairBuf = pairs
-		// One doorbell for the whole batch: full submit cost for the
-		// first descriptor, a quarter for each further one (§4.3).
-		cost := sim.Time(cycles.DMASubmit) + sim.Time(len(pairs)-1)*cycles.DMASubmit/4
-		ctx.Exec(cost)
-		b.env = ctx.Env()
-		for _, ch := range b.chunks {
-			ch.task.issued.MarkRange(ch.dstOff, ch.length)
-			ch.task.inflight++
-			s.Stats.DMABytes += int64(ch.length)
-		}
-		s.inflightDMA += len(pairs)
-		b.left = len(pairs)
-		// Segments are marked as each transfer lands; the channel
-		// drains FIFO, so one completion walker serves the batch. A
-		// transfer the fault layer failed is rolled back instead: its
-		// segments are un-issued so a later round re-copies them, the
-		// DMA cooldown window opens, and the task backs off (or, with
-		// retries exhausted, fails). Waiters are woken either way —
-		// awaitInFlight watches the in-flight counter, not the bits.
-		// EnqueueBatch copies pairs into its own arena, so the scratch
-		// buffer is free for the next round.
-		s.dmas[0].EnqueueBatch(pairs, b.cb)
-	} else if ndma > 0 {
+	if ndma > 0 {
 		s.dispatchDMASharded(ctx, c, all, dmaSet)
 	}
 
@@ -914,8 +857,7 @@ func (s *Service) dispatch(ctx Ctx, c *Client, all []chunk) {
 // dmaDone finalizes one DMA chunk completion: success marks segments
 // and accounts bytes; an engine fault rolls the chunk back (segments
 // un-issued for a later round), opens the cooldown window, and backs
-// the task off. Shared by the flat single-batch path and the sharded
-// per-engine path so both have identical failure semantics.
+// the task off.
 //
 //copier:noalloc
 func (s *Service) dmaDone(env *sim.Env, eng int, ch chunk, err error) {
@@ -949,14 +891,18 @@ func (s *Service) dmaDone(env *sim.Env, eng int, ch chunk, err error) {
 }
 
 // dispatchDMASharded distributes a round's DMA chunks (the dmaSet
-// entries of all) over the per-node engines (NUMA task steering):
-// each chunk prefers the engine local to its destination frames, but
-// spills to a remote engine when that engine — despite the
-// distance-scaled transfer cost — would finish sooner than waiting
-// behind the local queue. Selection is deterministic: engines are
-// scanned in index order and only a strictly earlier finish steals
-// the chunk. Chunks are then submitted engine by engine in index
-// order, one doorbell per engine.
+// entries of all) over the per-node engines (NUMA task steering); the
+// flat machine is the one-node case. Each chunk prefers the engine
+// local to its destination frames, but spills to a remote engine when
+// that engine — despite the distance-scaled transfer cost — would
+// finish sooner than waiting behind the local queue. Selection is
+// deterministic: engines are scanned in index order and only a
+// strictly earlier finish steals the chunk. Chunks are then submitted
+// engine by engine in index order, one doorbell per engine: full
+// submit cost for the first descriptor, a quarter for each further
+// one (§4.3). Each engine drains FIFO, so one completion walker per
+// batch marks segments as transfers land; a transfer the fault layer
+// failed is rolled back by dmaDone instead.
 func (s *Service) dispatchDMASharded(ctx Ctx, c *Client, all []chunk, dmaSet []bool) {
 	env := ctx.Env()
 	now := s.now()
@@ -1033,7 +979,7 @@ func (s *Service) dispatchDMASharded(ctx Ctx, c *Client, all []chunk, dmaSet []b
 	}
 	for e := range s.dmas {
 		var b *dmaBatch
-		pairs := c.pairBuf2[:0]
+		pairs := c.pairBuf[:0]
 		for i, ch := range all {
 			if eng[i] == e {
 				pairs = append(pairs, [2]hw.FrameRange{ch.dst, ch.src})
@@ -1044,7 +990,7 @@ func (s *Service) dispatchDMASharded(ctx Ctx, c *Client, all []chunk, dmaSet []b
 				b.chunks = append(b.chunks, ch)
 			}
 		}
-		c.pairBuf2 = pairs
+		c.pairBuf = pairs
 		if b == nil {
 			continue
 		}
@@ -1089,16 +1035,16 @@ func (s *Service) engineEstimate(e int, now sim.Time, pend []sim.Time, ch chunk)
 	return done
 }
 
-// cpuCopyCost prices one CPU copy piece: flat on a single-node
-// machine; distance-scaled by the span between the serving thread's
-// node (== the client's node under per-node sharding) and the chunk's
-// frames otherwise. A chunk's frames sit on its first frame's node —
-// node ranges are contiguous, so a chunk straddling a boundary is
-// priced by where it starts.
+// cpuCopyCost prices one CPU copy piece, distance-scaled by the span
+// between the serving thread's node (== the client's node under
+// per-node sharding) and the chunk's frames; on one node every span is
+// local, which costs exactly the flat rate. A chunk's frames sit on
+// its first frame's node — node ranges are contiguous, so a chunk
+// straddling a boundary is priced by where it starts.
 //
 //copier:noalloc
 func (s *Service) cpuCopyCost(ch chunk, piece units.Bytes) sim.Time {
-	if s.cfg.Topo == nil || len(s.dmas) == 1 {
+	if s.cfg.Topo == nil {
 		return cycles.CopyCost(s.cpuUnit(), piece)
 	}
 	node := ch.task.Client.Node

@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"testing"
 
+	"copier/internal/cycles"
 	"copier/internal/fault"
 	"copier/internal/mem"
+	"copier/internal/obs"
 	"copier/internal/sim"
 	"copier/internal/units"
 )
@@ -81,6 +83,15 @@ func TestDeadEngineKillClientNoLeaks(t *testing.T) {
 	if h.svc.Stats.FallbackBytes == 0 {
 		t.Fatal("no CPU fallback despite a dead DMA engine")
 	}
+	// Only the DMA-assigned chunks of a round count as diverted. DMA
+	// moves 4 B/cycle against AVX's 8 or more, so the dispatcher assigns
+	// DMA at most a third of any round, and the CPU copies every byte of
+	// a diverted round: FallbackBytes stays within half the CPU-copied
+	// bytes. Counting whole rounds as diverted would not.
+	if st := h.svc.Stats; 2*st.FallbackBytes > st.AVXBytes {
+		t.Errorf("FallbackBytes %d exceeds half of AVXBytes %d: whole rounds counted as diverted",
+			st.FallbackBytes, st.AVXBytes)
+	}
 	if r := h.uas.AuditLeaks(); !r.Clean() {
 		t.Fatalf("dead client leaked pins: %+v", r)
 	}
@@ -92,40 +103,61 @@ func TestDeadEngineKillClientNoLeaks(t *testing.T) {
 	}
 }
 
-// TestQuarantineKillClientNoLeaks drives the engine into Quarantined
+// TestQuarantineKillClientNoLeaks drives the engines into Quarantined
 // via a high transient-failure rate, then kills a client while the
 // quarantine/probe cycle is running. Teardown and quarantine must
-// compose: terminal states for every task, clean pin audit.
+// compose: terminal states for every task, clean pin audit. The flat
+// machine runs as the one-node case of the sharded service, so both
+// node counts follow the same health rule: a quarantined engine is
+// offered one half-open probe chunk per round.
 func TestQuarantineKillClientNoLeaks(t *testing.T) {
+	for _, nodes := range []int{1, 4} {
+		t.Run(fmt.Sprintf("nodes=%d", nodes), func(t *testing.T) {
+			testQuarantineKillClient(t, nodes)
+		})
+	}
+}
+
+func testQuarantineKillClient(t *testing.T, nodes int) {
 	cfg := DefaultConfig()
-	// Disable the post-fault cooldown so the engine keeps taking work
-	// and its health window actually fills; raise the per-task retry
-	// bound so transient faults decide steering, not task outcomes.
+	// Disable the post-fault cooldown so the engines keep taking work
+	// and their health windows actually fill (every fallback is then a
+	// health diversion); raise the per-task retry bound so transient
+	// faults decide steering, not task outcomes.
 	cfg.DMACooldown = -1
 	cfg.MaxRetries = 64
-	h := newHarness(t, cfg)
+	cfg.QuarantineProbe = 20 * cycles.CyclesPerMicrosecond
+	h := newNUMAHarness(t, nodes, cfg)
+	rec := obs.NewRecorder(0)
+	h.env.SetRecorder(rec)
+	victim, vas := h.clients[0], h.spaces[0]
+	last := nodes - 1
 	uas2 := mem.NewAddrSpace(h.pm)
-	c2 := h.svc.NewClient("survivor", uas2, h.kas, nil)
+	uas2.SetHomeNode(last)
+	c2 := h.svc.NewClientOn("survivor", uas2, uas2, nil, last)
+	// The survivor's space goes after the per-node ones, so h.alloc and
+	// h.read reach it at index nodes.
+	h.spaces = append(h.spaces, uas2)
 	// 70% of DMA descriptors fail transiently: enough window failures to
-	// quarantine the engine; CPU engines stay clean so work drains.
+	// quarantine the engines; CPU engines stay clean so work drains.
 	h.svc.SetFaultInjector(fault.New(23).SetRates(fault.SiteDMA, fault.Rates{
 		FailPpm: 700_000,
 	}))
 
 	const n = 64 << 10
-	const tasks = 16
+	const tasks = 48
 	var all []*Task
 	for i := 0; i < tasks; i++ {
-		src := h.alloc(t, h.uas, n, byte(i+1))
-		dst := h.alloc(t, h.uas, n, 0)
-		task := &Task{Src: src, Dst: dst, SrcAS: h.uas, DstAS: h.uas, Len: n}
-		if !h.c.SubmitCopy(task, false) {
+		src := h.alloc(t, 0, n, byte(i+1))
+		dst := h.alloc(t, 0, n, 0)
+		task := &Task{Src: src, Dst: dst, SrcAS: vas, DstAS: vas, Len: n}
+		if !victim.SubmitCopy(task, false) {
 			t.Fatal("submit failed")
 		}
 		all = append(all, task)
 	}
-	src2 := h.alloc(t, uas2, n, 0x6B)
-	dst2 := h.alloc(t, uas2, n, 0)
+	src2 := h.alloc(t, nodes, n, 0x6B)
+	dst2 := h.alloc(t, nodes, n, 0)
 	t2 := &Task{Src: src2, Dst: dst2, SrcAS: uas2, DstAS: uas2, Len: n}
 	if !c2.SubmitCopy(t2, false) {
 		t.Fatal("submit failed")
@@ -133,15 +165,16 @@ func TestQuarantineKillClientNoLeaks(t *testing.T) {
 
 	h.env.Go("killer", func(p *sim.Proc) {
 		ctx := testCtx{p}
-		ctx.Exec(300_000)
-		h.svc.KillClient(h.c)
+		ctx.Exec(600_000)
+		h.svc.KillClient(victim)
 	})
 	h.start()
 	h.run(t, 1_000_000_000)
 
-	if h.svc.Stats.Quarantines == 0 {
+	st := h.svc.Stats
+	if st.Quarantines == 0 {
 		t.Fatalf("engine never quarantined (degradations=%d, faults=%d) — rate too low to test anything",
-			h.svc.Stats.Degradations, h.svc.Stats.DMAFaults)
+			st.Degradations, st.DMAFaults)
 	}
 	for i, task := range all {
 		if !task.Executed() && !task.Aborted() {
@@ -151,10 +184,10 @@ func TestQuarantineKillClientNoLeaks(t *testing.T) {
 	if !t2.Executed() || t2.Err() != nil {
 		t.Fatalf("surviving client starved: executed=%v err=%v", t2.Executed(), t2.Err())
 	}
-	if !bytes.Equal(h.read(t, uas2, dst2, n), bytes.Repeat([]byte{0x6B}, n)) {
+	if !bytes.Equal(h.read(t, nodes, dst2, n), bytes.Repeat([]byte{0x6B}, n)) {
 		t.Fatal("surviving client data corrupted")
 	}
-	if r := h.uas.AuditLeaks(); !r.Clean() {
+	if r := vas.AuditLeaks(); !r.Clean() {
 		t.Fatalf("dead client leaked pins: %+v", r)
 	}
 	if r := uas2.AuditLeaks(); !r.Clean() {
@@ -162,6 +195,39 @@ func TestQuarantineKillClientNoLeaks(t *testing.T) {
 	}
 	if got := h.svc.Backlog(); got != 0 {
 		t.Fatalf("backlog = %d", got)
+	}
+
+	// One probe chunk per round: while an engine is quarantined, no two
+	// of its descriptors share a submission time (a round submits to an
+	// engine in one doorbell at one instant).
+	if rec.Dropped() != 0 {
+		t.Fatalf("recorder dropped %d events", rec.Dropped())
+	}
+	engineOf := map[string]int{}
+	for e, d := range h.svc.DMAs() {
+		engineOf[d.Track()] = e
+	}
+	quarantined := make([]bool, nodes)
+	lastProbe := make([]int64, nodes)
+	probes := 0
+	rec.Events(func(ev *obs.Event) {
+		switch ev.Kind {
+		case obs.EvEngineHealth:
+			quarantined[ev.A] = EngineState(ev.B) == EngineQuarantined
+		case obs.EvDMASubmit:
+			e := engineOf[ev.Track]
+			if !quarantined[e] {
+				return
+			}
+			if ev.T == lastProbe[e] {
+				t.Errorf("engine %d: more than one probe chunk in the round at %d", e, ev.T)
+			}
+			lastProbe[e] = ev.T
+			probes++
+		}
+	})
+	if probes == 0 {
+		t.Error("no half-open probe reached a quarantined engine")
 	}
 }
 

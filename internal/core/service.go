@@ -128,13 +128,12 @@ type Config struct {
 	HighLoad   int64
 	MaxThreads int
 
-	// Topo places the service on a machine topology. nil or a
-	// single-node topology selects the flat machine: one DMA engine,
-	// the historical thread/client partitioning, byte-identical to
-	// the pre-NUMA service. A multi-node topology shards the service:
-	// one DMA engine per node, thread slot i serving node i%nodes,
-	// clients pinned to their node's threads, and NUMA-aware engine
-	// steering with distance-scaled costs.
+	// Topo places the service on a machine topology: one DMA engine
+	// per node, thread slot i serving node i%nodes, clients pinned to
+	// their node's threads, and NUMA-aware engine steering with
+	// distance-scaled costs. nil or a single-node topology selects the
+	// flat machine — the one-node case of the same service, which
+	// alone auto-scales its thread count (MaxThreads).
 	Topo *topo.Topology
 }
 
@@ -252,10 +251,13 @@ type Stats struct {
 	LazyExpired     int64
 
 	// Failure-recovery counters.
-	DMAFaults       int64 // DMA descriptors that completed with an engine error
-	CPUFaults       int64 // CPU copy slices failed by the fault layer
-	RetriedChunks   int64 // backoff-rescheduled failures (retries granted)
-	FallbackBytes   int64 // DMA-eligible bytes diverted to CPU during cooldown
+	DMAFaults     int64 // DMA descriptors that completed with an engine error
+	CPUFaults     int64 // CPU copy slices failed by the fault layer
+	RetriedChunks int64 // backoff-rescheduled failures (retries granted)
+	// FallbackBytes counts bytes diverted from DMA to the CPU engines:
+	// whole rounds inside the post-fault cooldown, otherwise only the
+	// DMA-assigned chunks no available engine could take.
+	FallbackBytes   int64
 	ClientTeardowns int64 // dead clients reclaimed
 	ReclaimedTasks  int64 // tasks (queued + pending) reclaimed by teardown
 
@@ -340,6 +342,13 @@ type Service struct {
 
 	// threads active (for auto-scaling and client partitioning).
 	activeThreads int
+	// parts caches clientsOf per thread slot (nil: not built yet).
+	// NewClientOn and CloseClient clear it, as does clientsOf itself
+	// once activeThreads moves off partsThreads. Every rebuild
+	// allocates a fresh slice, so a sweep still ranging over an old
+	// partition across a yield keeps its snapshot.
+	parts        [][]*Client
+	partsThreads int
 	// spawnThread, when set, lets auto-scaling start another service
 	// thread (the kernel integration supplies it).
 	spawnThread func(slot int)
@@ -371,7 +380,7 @@ func NewService(env *sim.Env, pm *mem.PhysMem, cfg Config) *Service {
 	nn := 1
 	if cfg.Topo != nil {
 		nn = cfg.Topo.Nodes()
-		if nn > 1 && pm.NumNodes() != nn {
+		if pm.NumNodes() != nn {
 			panic(fmt.Sprintf("core: topology has %d nodes but physical memory is partitioned into %d (call pm.ConfigureNodes)",
 				nn, pm.NumNodes()))
 		}
@@ -388,11 +397,8 @@ func NewService(env *sim.Env, pm *mem.PhysMem, cfg Config) *Service {
 	}
 	s.dmas = make([]*hw.DMAChannel, nn)
 	for i := range s.dmas {
-		d := hw.NewDMAChannel(env, pm)
-		if nn > 1 {
-			d.SetNUMA(i, cfg.Topo)
-		}
-		s.dmas[i] = d
+		s.dmas[i] = hw.NewDMAChannel(env, pm)
+		s.dmas[i].SetNUMA(i, cfg.Topo)
 	}
 	s.health = make([]engineHealth, nn)
 	s.retryTokens = cfg.RetryBudget
@@ -504,6 +510,17 @@ func (s *Service) Group(name string, shares int64) *CGroupAccount {
 // (copier_create_queue, Table 2). group may be nil (a default group
 // is used).
 func (s *Service) NewClient(name string, uas, kas *mem.AddrSpace, group *CGroupAccount) *Client {
+	return s.NewClientOn(name, uas, kas, group, 0)
+}
+
+// NewClientOn registers a client homed on a NUMA node: its tasks are
+// served by that node's service threads and steered to that node's
+// DMA engine first. On the flat machine (or out-of-range node) the
+// client lands on node 0 — identical to NewClient.
+func (s *Service) NewClientOn(name string, uas, kas *mem.AddrSpace, group *CGroupAccount, node int) *Client {
+	if node < 0 || node >= s.numNodes() {
+		node = 0
+	}
 	if group == nil {
 		group = s.Group("default", 100)
 	}
@@ -515,29 +532,19 @@ func (s *Service) NewClient(name string, uas, kas *mem.AddrSpace, group *CGroupA
 		U:        newQueueSet(s.cfg.QueueLen),
 		K:        newQueueSet(s.cfg.QueueLen),
 		Group:    group,
+		Node:     node,
 		Progress: sim.NewSignal("progress:" + name),
 		svc:      s,
 	}
 	s.nextCID++
 	s.clients = append(s.clients, c)
+	clear(s.parts)
 	group.clients = append(group.clients, c)
 	if s.cfg.EnableATCache {
 		s.at.Attach(uas)
 		if kas != nil && kas != uas {
 			s.at.Attach(kas)
 		}
-	}
-	return c
-}
-
-// NewClientOn registers a client homed on a NUMA node: its tasks are
-// served by that node's service threads and steered to that node's
-// DMA engine first. On the flat machine (or out-of-range node) the
-// client lands on node 0 — identical to NewClient.
-func (s *Service) NewClientOn(name string, uas, kas *mem.AddrSpace, group *CGroupAccount, node int) *Client {
-	c := s.NewClient(name, uas, kas, group)
-	if node > 0 && node < s.numNodes() {
-		c.Node = node
 	}
 	return c
 }
@@ -636,6 +643,7 @@ func (s *Service) CloseClient(c *Client) {
 	for i, x := range s.clients {
 		if x == c {
 			s.clients = append(s.clients[:i], s.clients[i+1:]...)
+			clear(s.parts)
 			break
 		}
 	}
@@ -768,43 +776,41 @@ func (s *Service) autoscale() {
 	}
 }
 
-// clientsOf partitions clients across active threads. On the flat
-// machine this is the historical modulo partitioning; on a sharded
-// service thread slot t serves node t%nodes, and a node's threads
-// stripe that node's clients among themselves.
+// clientsOf returns the clients thread slot serves: slot t serves
+// node t%nodes (every slot on the flat machine, which is the one-node
+// case), and a node's threads stripe that node's clients among
+// themselves in registration order. Served from the per-slot cache,
+// so the steady-state poll allocates nothing (TestClientsOfAllocFree).
 func (s *Service) clientsOf(slot int) []*Client {
-	if nn := s.numNodes(); nn > 1 {
-		node := slot % nn
-		perNode := s.activeThreads / nn
-		if perNode <= 0 {
-			perNode = 1
+	if s.partsThreads != s.activeThreads {
+		clear(s.parts)
+		s.partsThreads = s.activeThreads
+	}
+	for len(s.parts) <= slot {
+		s.parts = append(s.parts, nil)
+	}
+	if s.parts[slot] == nil {
+		s.parts[slot] = s.partition(slot)
+	}
+	return s.parts[slot]
+}
+
+// partition builds slot's client list from scratch (clientsOf's cache
+// fill) into a fresh, non-nil slice.
+func (s *Service) partition(slot int) []*Client {
+	nn := s.numNodes()
+	node, rank := slot%nn, slot/nn
+	perNode := max(s.activeThreads/nn, 1)
+	out := []*Client{}
+	i := 0
+	for _, c := range s.clients {
+		if c.Node != node {
+			continue
 		}
-		rank := slot / nn
-		var out []*Client
-		i := 0
-		for _, c := range s.clients {
-			if c.Node != node {
-				continue
-			}
-			if i%perNode == rank%perNode {
-				out = append(out, c)
-			}
-			i++
-		}
-		return out
-	}
-	n := s.activeThreads
-	if n <= 0 {
-		n = 1
-	}
-	if n == 1 {
-		return s.clients
-	}
-	var out []*Client
-	for i, c := range s.clients {
-		if i%n == slot {
+		if i%perNode == rank%perNode {
 			out = append(out, c)
 		}
+		i++
 	}
 	return out
 }
@@ -817,8 +823,8 @@ func (s *Service) serveOnce(ctx Ctx, slot int) bool {
 	mine := s.clientsOf(slot)
 	worked := false
 	// Dead clients first: reclaim their state before serving anything
-	// else. Collected into a scratch slice because teardown unregisters
-	// the client, mutating the list mine may alias.
+	// else. Collected first so that clients dying during a teardown's
+	// yields wait for the next sweep.
 	var dying []*Client
 	for _, c := range mine {
 		if c.dying && !c.closed {
