@@ -1,10 +1,17 @@
 # Convenience targets; scripts/check.sh is the source of truth for
 # the tier-1 gate.
 
-.PHONY: check lint test bench fuzz chaos
+.PHONY: check lint test bench fuzz chaos linedelta
 
 check:
 	./scripts/check.sh
+
+# Per-package added/removed lines of the working tree against BASE
+# (default HEAD: the uncommitted change), non-test code and tests
+# counted separately. After committing: make linedelta BASE=HEAD~1.
+BASE ?= HEAD
+linedelta:
+	./scripts/linedelta.sh $(BASE)
 
 # Project-invariant static analysis (see internal/lint): seven
 # analyzers over one shared package load — determinism hygiene

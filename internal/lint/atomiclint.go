@@ -174,27 +174,36 @@ func AtomicLint(pkgs []*Package, cfg AtomicConfig) []Finding {
 // name, so cross-package accesses to the same field agree) plus a
 // display name.
 func fieldKey(p *Package, sel *ast.SelectorExpr) (key, name string, ok bool) {
-	s, found := p.Info.Selections[sel]
-	if !found || s.Kind() != types.FieldVal {
+	v, recv, ok := selField(p, sel)
+	if !ok {
 		return "", "", false
-	}
-	v, isVar := s.Obj().(*types.Var)
-	if !isVar || !v.IsField() || v.Pkg() == nil {
-		return "", "", false
-	}
-	recv := s.Recv()
-	for {
-		ptr, isPtr := recv.(*types.Pointer)
-		if !isPtr {
-			break
-		}
-		recv = ptr.Elem()
 	}
 	recvName := recv.String()
 	if named, isNamed := recv.(*types.Named); isNamed && named.Obj() != nil {
 		recvName = named.Obj().Name()
 	}
 	return v.Pkg().Path() + "." + recvName + "." + v.Name(), recvName + "." + v.Name(), true
+}
+
+// selField resolves a selector that names a struct field to the field
+// and the type that owns it, pointers peeled.
+func selField(p *Package, sel *ast.SelectorExpr) (*types.Var, types.Type, bool) {
+	s, found := p.Info.Selections[sel]
+	if !found || s.Kind() != types.FieldVal {
+		return nil, nil, false
+	}
+	v, isVar := s.Obj().(*types.Var)
+	if !isVar || !v.IsField() || v.Pkg() == nil {
+		return nil, nil, false
+	}
+	recv := s.Recv()
+	for {
+		ptr, isPtr := recv.(*types.Pointer)
+		if !isPtr {
+			return v, recv, true
+		}
+		recv = ptr.Elem()
+	}
 }
 
 // docSerialized reports whether a doc comment carries the

@@ -29,10 +29,11 @@ var snipConfig = CycleConfig{
 
 func runGolden(t *testing.T, goldenName string, opts Options) {
 	t.Helper()
-	res, err := Run(opts)
+	res, in, err := run(opts)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
+	checkConverged(t, in)
 	if res.TypeErrorCount != 0 {
 		t.Errorf("corpus has %d package(s) with type errors; snippets must compile", res.TypeErrorCount)
 	}
@@ -146,20 +147,52 @@ func TestOrdlintGolden(t *testing.T) {
 	})
 }
 
+// checkConverged fails the test if a flow analyzer's summary or loop
+// fixpoint stopped at its cap instead of settling: the summaries would
+// be unsound with no finding to say so.
+func checkConverged(t *testing.T, in *runInput) {
+	t.Helper()
+	for name, st := range map[string]flowStats{"lifelint": in.life, "ordlint": in.ord} {
+		if !st.converged() {
+			t.Errorf("%s did not converge: %+v", name, st)
+		}
+	}
+}
+
 // TestTreeIsClean is the acceptance criterion in executable form:
 // the real tree must produce zero findings from all seven analyzers —
 // detlint, alloclint, cyclelint, unitlint, atomiclint, lifelint and
 // ordlint run under their default configurations (every violation
-// fixed or carrying a justified, used suppression).
+// fixed or carrying a justified, used suppression) — and the flow
+// analyzers' fixpoints must settle before their caps.
 func TestTreeIsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and escape-compiles the whole module")
 	}
-	res, err := Run(Options{Dir: "."})
+	res, in, err := run(Options{Dir: "../.."})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	for _, f := range res.Findings {
 		t.Errorf("%s", f.String())
+	}
+	checkConverged(t, in)
+	t.Logf("summary rounds: lifelint %d, ordlint %d (cap %d)", in.life.rounds, in.ord.rounds, flowRoundCap)
+	if in.life.rounds < 2 || in.ord.rounds < 2 {
+		t.Error("a flow analyzer settled in one round: the load is missing the governed packages")
+	}
+}
+
+// TestFlowDriverReportsUnsettled pins the convergence report itself: a
+// summary that changes every round runs to the cap and is flagged.
+func TestFlowDriverReportsUnsettled(t *testing.T) {
+	var st flowStats
+	n := 0
+	flowSummaries([]flowFunc{{key: "f"}}, map[string]int{}, &st, func(*flowFunc, *[]Finding) int {
+		n++
+		return n
+	})
+	if st.converged() || st.rounds != flowRoundCap {
+		t.Errorf("stats %+v, want unsettled after %d rounds", st, flowRoundCap)
 	}
 }

@@ -5,20 +5,22 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
+	"strings"
 )
 
 // lifelint is the typestate analyzer: it checks every function against
 // the //copier:lifecycle specs (lifespec.go) by abstract interpretation
 // over a finite state lattice.
 //
-// Per function the analysis is flow-sensitive: each tracked value is a
-// cell whose possible-states set flows through statements; branches
-// fork the environment and joins union it (a loop body runs to a
-// fixpoint, which the finite lattice guarantees). A value that reaches
-// a return, the end of the function, or an overwriting rebind in a
-// non-accepting state is a leak (life-leak); an op applied from a dead
-// state is a double release or a use-after-release; an op applied from
-// any other state outside its declared sources is life-state.
+// Per function the analysis is flow-sensitive (the flow engine in
+// flow.go walks the statements): each tracked value is a cell whose
+// possible-states set flows through statements, and joins union it. A
+// value that reaches a return, the end of the function, or an
+// overwriting rebind in a non-accepting state is a leak (life-leak); an
+// op applied from a dead state is a double release or a
+// use-after-release; an op applied from any other state outside its
+// declared sources is life-state.
 //
 // Across calls the analysis is summary-based. Every function gets a
 // summary — per tracked parameter: the entry states its body requires,
@@ -28,23 +30,15 @@ import (
 // sites apply summaries instead of inlining, so a helper that releases
 // a handle counts as a release in every caller, and a second release
 // after it is reported there. Summaries are keyed by normalized
-// function name and iterated to a fixpoint, so they compose across
-// packages and through wrappers.
+// function name, so they compose across packages and through wrappers.
 //
 // Deliberate coarseness (documented, not accidental): a value that
 // escapes — stored into a field, slice, map, channel or closure, or
 // passed to a function outside the loaded source — stops being
 // tracked; obligations follow the escape. Error-conditioned births
 // (Pin returns error; open obligations exist only when err == nil) are
-// refined at err != nil branches. Calls to panic/os.Exit/log.Fatal*
-// terminate a path without leak checks.
-
-// lifeFn is one analyzable function.
-type lifeFn struct {
-	p   *Package
-	fd  *ast.FuncDecl
-	key string
-}
+// refined at err != nil branches. A path the engine ends at a
+// terminator (panic, os.Exit, ...) gets no leak check.
 
 // lifeParamSum summarizes a tracked parameter's treatment.
 type lifeParamSum struct {
@@ -67,54 +61,22 @@ type lifeSummary struct {
 	rets   map[int]lifeRet
 }
 
-func sumEqual(a, b *lifeSummary) bool {
-	if (a == nil) != (b == nil) {
-		return false
-	}
-	if a == nil {
-		return true
-	}
-	if len(a.params) != len(b.params) || len(a.rets) != len(b.rets) {
-		return false
-	}
-	for i, pa := range a.params {
-		pb := b.params[i]
-		if pb == nil || *pa != *pb {
-			return false
-		}
-	}
-	for i, ra := range a.rets {
-		if b.rets[i] != ra {
-			return false
-		}
-	}
-	return true
-}
-
 type lifeChecker struct {
 	specs     *lifeSpecs
 	summaries map[string]*lifeSummary
 	releasers map[string][]*lifeSpec // func key -> pairs its body discharges
+	stats     *flowStats
 }
 
-// LifeLint runs the typestate analysis over the loaded packages.
-func LifeLint(pkgs []*Package) []Finding {
+// lifeLint runs the typestate analysis over the loaded packages,
+// recording how its fixpoints ended in stats.
+func lifeLint(pkgs []*Package, stats *flowStats) []Finding {
 	specs, out := collectLifeSpecs(pkgs)
 	if len(specs.list) == 0 {
 		return out
 	}
-	lc := &lifeChecker{specs: specs, summaries: make(map[string]*lifeSummary), releasers: make(map[string][]*lifeSpec)}
-
-	var fns []lifeFn
-	for _, p := range pkgs {
-		for _, f := range p.Files {
-			for _, d := range f.Decls {
-				if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
-					fns = append(fns, lifeFn{p, fd, declFuncKey(p, fd)})
-				}
-			}
-		}
-	}
+	lc := &lifeChecker{specs: specs, summaries: make(map[string]*lifeSummary), releasers: make(map[string][]*lifeSpec), stats: stats}
+	fns := flowFuncs(pkgs, nil)
 
 	// Pair dischargers are syntactic: a function whose body directly
 	// calls a close function or builds a transfer type discharges those
@@ -128,36 +90,7 @@ func LifeLint(pkgs []*Package) []Finding {
 			lc.releasers[fn.key] = pairs
 		}
 	}
-
-	// Summary fixpoint: re-analyze until no summary changes. The
-	// lattice is finite and small; a handful of rounds settles it.
-	for round := 0; round < 5; round++ {
-		changed := false
-		for i := range fns {
-			sum := lc.analyze(&fns[i], nil)
-			if fns[i].key != "" && !sumEqual(sum, lc.summaries[fns[i].key]) {
-				lc.summaries[fns[i].key] = sum
-				changed = true
-			}
-		}
-		if !changed {
-			break
-		}
-	}
-
-	// Reporting pass with frozen summaries (deterministic order).
-	seen := make(map[string]bool)
-	for i := range fns {
-		var fs []Finding
-		lc.analyze(&fns[i], &fs)
-		for _, f := range fs {
-			if k := f.String(); !seen[k] {
-				seen[k] = true
-				out = append(out, f)
-			}
-		}
-	}
-	return out
+	return append(out, flowSummaries(fns, lc.summaries, stats, lc.analyze)...)
 }
 
 // scanDischarges finds the pairs a body discharges directly.
@@ -254,7 +187,7 @@ func (e *lifeEnv) clone() *lifeEnv {
 
 // join merges other into e (both paths reach here). Returns whether e
 // changed, for loop fixpoints.
-func (e *lifeEnv) join(w *funcWalker, other *lifeEnv) bool {
+func (e *lifeEnv) join(other *lifeEnv) bool {
 	changed := false
 	for len(e.cells) < len(other.cells) {
 		e.cells = append(e.cells, cellState{})
@@ -262,38 +195,21 @@ func (e *lifeEnv) join(w *funcWalker, other *lifeEnv) bool {
 	}
 	for i := range other.cells {
 		a, b := &e.cells[i], other.cells[i]
-		if s := a.states | b.states; s != a.states {
-			a.states = s
-			changed = true
-		}
-		if b.escaped && !a.escaped {
-			a.escaped = true
-			changed = true
-		}
-		if b.moved && !a.moved {
-			a.moved = true
-			changed = true
-		}
-		if b.entry && !a.entry {
-			a.entry = true
-			changed = true
-		}
-		if b.touched && !a.touched {
-			a.touched = true
-			changed = true
-		}
-		if r := a.require & b.require; r != a.require {
-			a.require = r
-			changed = true
-		}
+		m := *a
+		m.states |= b.states
+		m.escaped = a.escaped || b.escaped
+		m.moved = a.moved || b.moved
+		m.entry = a.entry || b.entry
+		m.touched = a.touched || b.touched
+		m.require &= b.require
 		if a.guard != b.guard {
-			if a.guard != nil {
-				a.guard = nil
-				changed = true
-			}
+			m.guard = nil
 		}
 		if b.lastLine > a.lastLine {
-			a.lastOp, a.lastLine = b.lastOp, b.lastLine
+			m.lastOp, m.lastLine = b.lastOp, b.lastLine
+		}
+		if m != *a {
+			*a = m
 			changed = true
 		}
 	}
@@ -314,14 +230,7 @@ func (e *lifeEnv) join(w *funcWalker, other *lifeEnv) bool {
 		}
 	}
 	for _, d := range other.defers {
-		have := false
-		for _, x := range e.defers {
-			if x == d {
-				have = true
-				break
-			}
-		}
-		if !have {
+		if !slices.Contains(e.defers, d) {
 			e.defers = append(e.defers, d)
 			changed = true
 		}
@@ -332,6 +241,7 @@ func (e *lifeEnv) join(w *funcWalker, other *lifeEnv) bool {
 // --- per-function walk ------------------------------------------------
 
 type funcWalker struct {
+	flow[lifeEnv, *lifeEnv]
 	lc       *lifeChecker
 	p        *Package
 	fd       *ast.FuncDecl
@@ -352,7 +262,7 @@ type funcWalker struct {
 }
 
 // analyze interprets one function and returns its summary.
-func (lc *lifeChecker) analyze(fn *lifeFn, findings *[]Finding) *lifeSummary {
+func (lc *lifeChecker) analyze(fn *flowFunc, findings *[]Finding) *lifeSummary {
 	w := &funcWalker{
 		lc: lc, p: fn.p, fd: fn.fd, findings: findings,
 		siteCell: make(map[ast.Node]int),
@@ -360,6 +270,7 @@ func (lc *lifeChecker) analyze(fn *lifeFn, findings *[]Finding) *lifeSummary {
 		paramIdx: make(map[int]int),
 		holds:    make(map[*lifeSpec]bool),
 	}
+	w.flow = flow[lifeEnv, *lifeEnv]{p: fn.p, hooks: w, stats: lc.stats}
 	for _, pair := range lc.specs.holds[fn.key] {
 		if s := lc.specs.pairs[pair]; s != nil {
 			w.holds[s] = true
@@ -391,7 +302,7 @@ func (lc *lifeChecker) analyze(fn *lifeFn, findings *[]Finding) *lifeSummary {
 		}
 	}
 
-	if term := w.stmt(fn.fd.Body, env); !term {
+	if !w.stmt(env, fn.fd.Body) {
 		w.applyDefers(env)
 		w.exitCheck(env, fn.fd.Body.Rbrace, "end of function")
 	}
@@ -632,205 +543,44 @@ func (w *funcWalker) clearGuards(env *lifeEnv, obj types.Object) {
 
 // --- statements -------------------------------------------------------
 
-// stmt interprets one statement; true means the path terminated.
-func (w *funcWalker) stmt(s ast.Stmt, env *lifeEnv) bool {
-	switch st := s.(type) {
-	case *ast.BlockStmt:
-		for _, inner := range st.List {
-			if w.stmt(inner, env) {
-				return true
-			}
-		}
-	case *ast.ExprStmt:
-		if call, ok := ast.Unparen(st.X).(*ast.CallExpr); ok && w.isTerminator(call) {
-			w.evalCallArgsOnly(call, env)
-			return true
-		}
-		w.expr(st.X, env)
-	case *ast.AssignStmt:
-		w.assign(st, env)
-	case *ast.DeclStmt:
-		if gd, ok := st.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					w.valueSpec(vs, env)
-				}
-			}
-		}
-	case *ast.IfStmt:
-		return w.ifStmt(st, env)
-	case *ast.ForStmt:
-		w.forStmt(st, env)
-	case *ast.RangeStmt:
-		if idx := w.expr(st.X, env); idx >= 0 {
-			w.escape(env, idx)
-		}
-		w.loopBody(st.Body, env, nil)
-	case *ast.SwitchStmt:
-		if st.Init != nil {
-			w.stmt(st.Init, env)
-		}
-		if st.Tag != nil {
-			w.expr(st.Tag, env)
-		}
-		w.caseClauses(st.Body, env, hasDefaultClause(st.Body))
-	case *ast.TypeSwitchStmt:
-		if st.Init != nil {
-			w.stmt(st.Init, env)
-		}
-		w.stmt(st.Assign, env)
-		w.caseClauses(st.Body, env, hasDefaultClause(st.Body))
-	case *ast.SelectStmt:
-		w.caseClauses(st.Body, env, true)
-	case *ast.ReturnStmt:
-		w.returnStmt(st, env)
-		return true
-	case *ast.DeferStmt:
-		// The receiver/args are evaluated now; the effect lands at the
-		// path's exit. Cells born inside the defer expression itself
-		// (rare) flow like any call.
-		env.defers = append(env.defers, st.Call)
-	case *ast.GoStmt:
-		w.expr(st.Call.Fun, env)
-		for _, a := range st.Call.Args {
-			if idx := w.expr(a, env); idx >= 0 {
-				w.escape(env, idx)
-			}
-		}
-	case *ast.SendStmt:
-		w.expr(st.Chan, env)
-		if idx := w.expr(st.Value, env); idx >= 0 {
-			w.escape(env, idx)
-		}
-	case *ast.IncDecStmt:
-		w.expr(st.X, env)
-	case *ast.LabeledStmt:
-		return w.stmt(st.Stmt, env)
-	case *ast.BranchStmt:
-		// break/continue/goto: approximated as fallthrough; the loop
-		// fixpoint absorbs the imprecision.
-	}
-	return false
+// The flow engine (flow.go) owns control flow; these are lifelint's
+// transfer functions for the leaf statements.
+
+func (w *funcWalker) eval(env *lifeEnv, e ast.Expr) { w.expr(e, env) }
+
+func (w *funcWalker) incDec(env *lifeEnv, st *ast.IncDecStmt) { w.expr(st.X, env) }
+
+// rangeHead evaluates the ranged operand; a tracked value ranged over
+// escapes.
+func (w *funcWalker) rangeHead(env *lifeEnv, st *ast.RangeStmt) {
+	w.escape(env, w.expr(st.X, env))
 }
 
-// ifStmt forks the environment, refines each side by the condition,
-// and joins the surviving paths.
-func (w *funcWalker) ifStmt(st *ast.IfStmt, env *lifeEnv) bool {
-	if st.Init != nil {
-		w.stmt(st.Init, env)
-	}
-	w.expr(st.Cond, env)
-	thenEnv := env.clone()
-	elseEnv := env.clone()
-	w.refine(st.Cond, thenEnv, true)
-	w.refine(st.Cond, elseEnv, false)
-	thenTerm := w.stmt(st.Body, thenEnv)
-	elseTerm := false
-	if st.Else != nil {
-		elseTerm = w.stmt(st.Else, elseEnv)
-	}
-	switch {
-	case thenTerm && elseTerm:
-		return true
-	case thenTerm:
-		*env = *elseEnv
-	case elseTerm:
-		*env = *thenEnv
-	default:
-		thenEnv.join(w, elseEnv)
-		*env = *thenEnv
-	}
-	return false
+func (w *funcWalker) selectEdge(*lifeEnv) {}
+
+// deferStmt records the call: the receiver/args are evaluated now,
+// the effect lands at the path's exit (applyDefers).
+func (w *funcWalker) deferStmt(env *lifeEnv, st *ast.DeferStmt) {
+	env.defers = append(env.defers, st.Call)
 }
 
-// forStmt runs init, then iterates the body into a fixpoint, then
-// applies the negated condition to the exit environment.
-func (w *funcWalker) forStmt(st *ast.ForStmt, env *lifeEnv) {
-	if st.Init != nil {
-		w.stmt(st.Init, env)
-	}
-	w.loopBody(st.Body, env, func(e *lifeEnv) {
-		if st.Cond != nil {
-			w.expr(st.Cond, e)
-			w.refine(st.Cond, e, true)
-		}
-		// Post statement runs between iterations; fold it into the
-		// body effect.
-	})
-	if st.Post != nil {
-		w.stmt(st.Post, env)
-	}
-	if st.Cond != nil {
-		w.refine(st.Cond, env, false)
+// goStmt: values handed to a new goroutine escape.
+func (w *funcWalker) goStmt(env *lifeEnv, st *ast.GoStmt) {
+	w.expr(st.Call.Fun, env)
+	for _, a := range st.Call.Args {
+		w.escape(env, w.expr(a, env))
 	}
 }
 
-// loopBody iterates a loop body until the environment stops changing
-// (bounded; the finite lattice converges fast). prep refines the
-// entry of each iteration (the loop condition held).
-func (w *funcWalker) loopBody(body *ast.BlockStmt, env *lifeEnv, prep func(*lifeEnv)) {
-	for i := 0; i < 4; i++ {
-		iter := env.clone()
-		if prep != nil {
-			prep(iter)
-		}
-		if w.stmt(body, iter) {
-			break // every iteration path returned
-		}
-		if !env.join(w, iter) {
-			break
-		}
-	}
-}
-
-// caseClauses interprets each clause on a fork of env and joins; when
-// no clause may run (no default), the entry env joins too.
-func (w *funcWalker) caseClauses(body *ast.BlockStmt, env *lifeEnv, exhaustive bool) {
-	var joined *lifeEnv
-	if !exhaustive {
-		joined = env.clone()
-	}
-	for _, cs := range body.List {
-		branch := env.clone()
-		term := false
-		switch c := cs.(type) {
-		case *ast.CaseClause:
-			for _, e := range c.List {
-				w.expr(e, branch)
-			}
-			term = w.stmtList(c.Body, branch)
-		case *ast.CommClause:
-			if c.Comm != nil {
-				w.stmt(c.Comm, branch)
-			}
-			term = w.stmtList(c.Body, branch)
-		}
-		if term {
-			continue
-		}
-		if joined == nil {
-			joined = branch
-		} else {
-			joined.join(w, branch)
-		}
-	}
-	if joined != nil {
-		*env = *joined
-	}
-}
-
-func (w *funcWalker) stmtList(list []ast.Stmt, env *lifeEnv) bool {
-	for _, s := range list {
-		if w.stmt(s, env) {
-			return true
-		}
-	}
-	return false
+// send: a value sent on a channel escapes.
+func (w *funcWalker) send(env *lifeEnv, st *ast.SendStmt) {
+	w.expr(st.Chan, env)
+	w.escape(env, w.expr(st.Value, env))
 }
 
 // returnStmt moves returned cells to the caller (recording the return
 // summary), applies deferred effects, and leak-checks the path.
-func (w *funcWalker) returnStmt(st *ast.ReturnStmt, env *lifeEnv) {
+func (w *funcWalker) returnStmt(env *lifeEnv, st *ast.ReturnStmt) {
 	for i, res := range st.Results {
 		idx := w.expr(res, env)
 		if idx < 0 {
@@ -860,71 +610,37 @@ func (w *funcWalker) applyDefers(env *lifeEnv) {
 		}
 		if fl, ok := ast.Unparen(call.Fun).(*ast.FuncLit); ok {
 			// defer func() { ... }(): interpret the body here.
-			w.stmt(fl.Body, env)
+			w.stmt(env, fl.Body)
 			continue
 		}
 		w.expr(call, env)
 	}
 }
 
-// isTerminator recognizes calls that end the process or goroutine; a
-// live obligation at one is not a leak worth reporting.
-func (w *funcWalker) isTerminator(call *ast.CallExpr) bool {
-	switch f := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		if b, ok := w.p.Info.Uses[f].(*types.Builtin); ok && b.Name() == "panic" {
-			return true
-		}
-	case *ast.SelectorExpr:
-		fn, _ := w.p.Info.Uses[f.Sel].(*types.Func)
-		if fn == nil || fn.Pkg() == nil {
-			return false
-		}
-		switch fn.Pkg().Path() + "." + fn.Name() {
-		case "os.Exit", "runtime.Goexit", "log.Fatal", "log.Fatalf", "log.Fatalln":
-			return true
-		}
-	}
-	return false
-}
-
-func (w *funcWalker) evalCallArgsOnly(call *ast.CallExpr, env *lifeEnv) {
-	for _, a := range call.Args {
-		w.expr(a, env)
-	}
-}
-
 // --- assignments ------------------------------------------------------
 
-func (w *funcWalker) assign(st *ast.AssignStmt, env *lifeEnv) {
-	if len(st.Rhs) == 1 && len(st.Lhs) > 1 {
-		w.multiAssign(st.Lhs, st.Rhs[0], env)
-		return
-	}
-	for i := range st.Rhs {
-		w.born = nil
-		idx := w.expr(st.Rhs[i], env)
-		if i < len(st.Lhs) {
-			w.bindLHS(st.Lhs[i], idx, env)
-		}
-	}
-	w.born = nil
+func (w *funcWalker) assign(env *lifeEnv, st *ast.AssignStmt) {
+	w.bindAll(env, st.Lhs, st.Rhs)
 }
 
-func (w *funcWalker) valueSpec(vs *ast.ValueSpec, env *lifeEnv) {
-	if len(vs.Values) == 1 && len(vs.Names) > 1 {
-		lhs := make([]ast.Expr, len(vs.Names))
-		for i, n := range vs.Names {
-			lhs[i] = n
-		}
-		w.multiAssign(lhs, vs.Values[0], env)
+func (w *funcWalker) decl(env *lifeEnv, vs *ast.ValueSpec) {
+	lhs := make([]ast.Expr, len(vs.Names))
+	for i, n := range vs.Names {
+		lhs[i] = n
+	}
+	w.bindAll(env, lhs, vs.Values)
+}
+
+func (w *funcWalker) bindAll(env *lifeEnv, lhs, rhs []ast.Expr) {
+	if len(rhs) == 1 && len(lhs) > 1 {
+		w.multiAssign(lhs, rhs[0], env)
 		return
 	}
-	for i := range vs.Values {
+	for i := range rhs {
 		w.born = nil
-		idx := w.expr(vs.Values[i], env)
-		if i < len(vs.Names) {
-			w.bindLHS(vs.Names[i], idx, env)
+		idx := w.expr(rhs[i], env)
+		if i < len(lhs) {
+			w.bindLHS(lhs[i], idx, env)
 		}
 	}
 	w.born = nil
@@ -945,10 +661,7 @@ func (w *funcWalker) multiAssign(lhs []ast.Expr, rhs ast.Expr, env *lifeEnv) {
 		if !ok || id.Name == "_" {
 			continue
 		}
-		obj := w.p.Info.Defs[id]
-		if obj == nil {
-			obj = w.p.Info.Uses[id]
-		}
+		obj := w.p.Info.ObjectOf(id)
 		if obj == nil {
 			continue
 		}
@@ -984,10 +697,7 @@ func (w *funcWalker) bindLHS(l ast.Expr, idx int, env *lifeEnv) {
 		if id.Name == "_" {
 			return
 		}
-		obj := w.p.Info.Defs[id]
-		if obj == nil {
-			obj = w.p.Info.Uses[id]
-		}
+		obj := w.p.Info.ObjectOf(id)
 		if obj == nil {
 			return
 		}
@@ -1043,24 +753,24 @@ func isErrorType(t types.Type) bool {
 // being true (sense) or false says: err-guard checks drop or confirm
 // conditional births; boolean observers with a `test` clause narrow
 // the tracked state.
-func (w *funcWalker) refine(cond ast.Expr, env *lifeEnv, sense bool) {
+func (w *funcWalker) refine(env *lifeEnv, cond ast.Expr, sense bool) {
 	cond = ast.Unparen(cond)
 	switch e := cond.(type) {
 	case *ast.UnaryExpr:
 		if e.Op == token.NOT {
-			w.refine(e.X, env, !sense)
+			w.refine(env, e.X, !sense)
 		}
 	case *ast.BinaryExpr:
 		switch e.Op {
 		case token.LAND:
 			if sense {
-				w.refine(e.X, env, true)
-				w.refine(e.Y, env, true)
+				w.refine(env, e.X, true)
+				w.refine(env, e.Y, true)
 			}
 		case token.LOR:
 			if !sense {
-				w.refine(e.X, env, false)
-				w.refine(e.Y, env, false)
+				w.refine(env, e.X, false)
+				w.refine(env, e.Y, false)
 			}
 		case token.NEQ, token.EQL:
 			x, y := ast.Unparen(e.X), ast.Unparen(e.Y)
@@ -1224,7 +934,7 @@ func (w *funcWalker) funcLit(fl *ast.FuncLit, env *lifeEnv) {
 	savedFloor, savedDefers := w.closureFloor, env.defers
 	w.closureFloor = len(w.cells)
 	env.defers = nil
-	if !w.stmt(fl.Body, env) {
+	if !w.stmt(env, fl.Body) {
 		w.applyDefers(env)
 		w.exitCheck(env, fl.Body.Rbrace, "the closure returns")
 	}
@@ -1433,24 +1143,8 @@ func (w *funcWalker) summaryBirths(call *ast.CallExpr, fn *types.Func, sum *life
 
 // displayName renders Recv.Method or Func for traces.
 func displayName(fn *types.Func) string {
-	sig, _ := fn.Type().(*types.Signature)
-	if sig != nil && sig.Recv() != nil {
-		t := sig.Recv().Type()
-		if ptr, ok := t.(*types.Pointer); ok {
-			t = ptr.Elem()
-		}
-		if named, _ := t.(*types.Named); named != nil && named.Obj() != nil {
-			return named.Obj().Name() + "." + fn.Name()
-		}
+	if key := lifeFuncKey(fn); key != "" {
+		return strings.TrimPrefix(key, fn.Pkg().Path()+".")
 	}
 	return fn.Name()
-}
-
-func hasDefaultClause(body *ast.BlockStmt) bool {
-	for _, cs := range body.List {
-		if c, ok := cs.(*ast.CaseClause); ok && c.List == nil {
-			return true
-		}
-	}
-	return false
 }

@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"strings"
 )
 
@@ -111,20 +112,12 @@ func (s *lifeSpec) opList() []*lifeOp {
 	for n := range s.ops {
 		names = append(names, n)
 	}
-	sortStrings(names)
+	slices.Sort(names)
 	out := make([]*lifeOp, 0, len(names))
 	for _, n := range names {
 		out = append(out, s.ops[n])
 	}
 	return out
-}
-
-func sortStrings(ss []string) {
-	for i := 1; i < len(ss); i++ {
-		for j := i; j > 0 && ss[j] < ss[j-1]; j-- {
-			ss[j], ss[j-1] = ss[j-1], ss[j]
-		}
-	}
 }
 
 // lifeSpecs is every lifecycle collected from the loaded packages,

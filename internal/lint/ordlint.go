@@ -18,8 +18,8 @@ import (
 // read happens after the acquiring load; a single misordered access
 // is a data race -race hits one interleaving in a thousand. ordlint
 // checks the declared //copier:ordered contracts (ordspec.go)
-// statically, per function with branch/loop joins and across calls
-// with lifelint-style summaries:
+// statically on the flow engine it shares with lifelint (flow.go): per
+// function with branch/loop joins and across calls with summaries:
 //
 //   - pub-before-init: a write to a guarded field on a path where the
 //     guarding word may already have been published (the release gave
@@ -79,10 +79,10 @@ var DefaultOrdConfig = OrdConfig{Packages: []string{
 	"copier/internal/sim",
 }}
 
-// OrdLint runs the four passes: spec collection (grammar findings),
+// ordLint runs the four passes: spec collection (grammar findings),
 // mixed-access detection, spin-loop hygiene, and the happens-before
-// flow analysis.
-func OrdLint(pkgs []*Package, cfg OrdConfig) []Finding {
+// flow analysis, recording how its fixpoints ended in stats.
+func ordLint(pkgs []*Package, cfg OrdConfig, stats *flowStats) []Finding {
 	specs, out := collectOrdSpecs(pkgs)
 	var targets []*Package
 	for _, p := range pkgs {
@@ -93,10 +93,10 @@ func OrdLint(pkgs []*Package, cfg OrdConfig) []Finding {
 			}
 		}
 	}
-	oc := &ordChecker{specs: specs, summaries: make(map[string]*ordSummary)}
+	oc := &ordChecker{specs: specs, summaries: make(map[string]*ordSummary), stats: stats}
 	out = append(out, oc.mixedAtomics(targets)...)
 	out = append(out, oc.spinLoops(targets)...)
-	out = append(out, oc.flow(pkgs)...)
+	out = append(out, oc.flowFindings(pkgs)...)
 	return out
 }
 
@@ -212,27 +212,11 @@ func isZeroExpr(p *Package, e ast.Expr) bool {
 // plain variable reached through selectors/indexing — anything else
 // is untracked.
 func ordResolveField(p *Package, sel *ast.SelectorExpr) (root types.Object, typeKey, field string, ok bool) {
-	s, found := p.Info.Selections[sel]
-	if !found || s.Kind() != types.FieldVal {
+	v, recv, ok := selField(p, sel)
+	typeKey = lifeTypeKey(recv)
+	if !ok || typeKey == "" {
 		return nil, "", "", false
 	}
-	v, isVar := s.Obj().(*types.Var)
-	if !isVar || !v.IsField() || v.Pkg() == nil {
-		return nil, "", "", false
-	}
-	recv := s.Recv()
-	for {
-		ptr, isPtr := recv.(*types.Pointer)
-		if !isPtr {
-			break
-		}
-		recv = ptr.Elem()
-	}
-	named, isNamed := recv.(*types.Named)
-	if !isNamed || named.Obj() == nil || named.Obj().Pkg() == nil {
-		return nil, "", "", false
-	}
-	typeKey = named.Obj().Pkg().Path() + "." + named.Obj().Name()
 	// Root: the base identifier under the selector chain.
 	e := ast.Expr(sel.X)
 	for {
@@ -248,14 +232,8 @@ func ordResolveField(p *Package, sel *ast.SelectorExpr) (root types.Object, type
 			if !isIdent {
 				return nil, "", "", false
 			}
-			o := p.Info.Uses[id]
-			if o == nil {
-				o = p.Info.Defs[id]
-			}
-			if _, isV := o.(*types.Var); !isV {
-				return nil, "", "", false
-			}
-			return o, typeKey, v.Name(), true
+			o := rootVar(p, id)
+			return o, typeKey, v.Name(), o != nil
 		}
 	}
 }
@@ -277,32 +255,15 @@ func (oc *ordChecker) mixedAtomics(targets []*Package) []Finding {
 				if !ok || !op.raw || op.fieldSel == nil {
 					return true
 				}
-				_, typeKey, field, ok := ordResolveField(p, op.fieldSel)
-				if !ok {
-					// Root untracked is fine; the selection still names
-					// the owning type.
-					s, found := p.Info.Selections[op.fieldSel]
-					if !found || s.Kind() != types.FieldVal {
-						return true
-					}
-					recv := s.Recv()
-					for {
-						ptr, isPtr := recv.(*types.Pointer)
-						if !isPtr {
-							break
-						}
-						recv = ptr.Elem()
-					}
-					named, isNamed := recv.(*types.Named)
-					if !isNamed || named.Obj() == nil || named.Obj().Pkg() == nil {
-						return true
-					}
-					typeKey = named.Obj().Pkg().Path() + "." + named.Obj().Name()
-					field = s.Obj().Name()
+				// Only the owning type matters here, not the root.
+				v, recv, ok := selField(p, op.fieldSel)
+				typeKey := lifeTypeKey(recv)
+				if !ok || typeKey == "" {
+					return true
 				}
 				typeName := typeKey[strings.LastIndexByte(typeKey, '.')+1:]
 				governed := oc.specs.byType[typeKey] != nil
-				if !governed && !typeHasAtomicField(p, op.fieldSel) {
+				if !governed && !typeHasAtomicField(recv) {
 					return true
 				}
 				why := "a //copier:ordered-governed type"
@@ -313,7 +274,7 @@ func (oc *ordChecker) mixedAtomics(targets []*Package) []Finding {
 					Pos:  p.Position(call.Pos()),
 					Rule: RuleOrdMixedAtomics,
 					Msg: fmt.Sprintf("raw atomic.%s of %s.%s, a field of %s",
-						op.fnName, typeName, field, why),
+						op.fnName, typeName, v.Name(), why),
 					Hint: "make the field a typed atomic (atomic.Uint64 etc.) so every access is atomic by construction",
 				})
 				return true
@@ -323,27 +284,15 @@ func (oc *ordChecker) mixedAtomics(targets []*Package) []Finding {
 	return out
 }
 
-// typeHasAtomicField reports whether the struct owning sel's field
-// declares at least one typed sync/atomic field.
-func typeHasAtomicField(p *Package, sel *ast.SelectorExpr) bool {
-	s, found := p.Info.Selections[sel]
-	if !found {
-		return false
-	}
-	recv := s.Recv()
-	for {
-		ptr, isPtr := recv.(*types.Pointer)
-		if !isPtr {
-			break
-		}
-		recv = ptr.Elem()
-	}
-	st, ok := recv.Underlying().(*types.Struct)
+// typeHasAtomicField reports whether struct type t declares at least
+// one typed sync/atomic field.
+func typeHasAtomicField(t types.Type) bool {
+	st, ok := t.Underlying().(*types.Struct)
 	if !ok {
 		return false
 	}
 	for i := 0; i < st.NumFields(); i++ {
-		t := st.Field(i).Type()
+		t = st.Field(i).Type()
 		if sl, isSlice := t.(*types.Slice); isSlice {
 			t = sl.Elem()
 		}
@@ -426,9 +375,7 @@ func scanLoopRegion(p *Package, fs *ast.ForStmt) loopRegion {
 	written := make(map[types.Object]bool) // locals assigned in the region
 	markWritten := func(e ast.Expr) {
 		if id, ok := ast.Unparen(e).(*ast.Ident); ok {
-			if o := p.Info.Uses[id]; o != nil {
-				written[o] = true
-			} else if o := p.Info.Defs[id]; o != nil {
+			if o := p.Info.ObjectOf(id); o != nil {
 				written[o] = true
 			}
 		}
@@ -542,8 +489,7 @@ func scanLoopRegion(p *Package, fs *ast.ForStmt) loopRegion {
 type ordChecker struct {
 	specs     *ordSpecs
 	summaries map[string]*ordSummary
-	seen      map[string]bool // finding dedup across loop re-walks
-	findings  []Finding
+	stats     *flowStats
 }
 
 // ordWordKey identifies one tracked (object, word) pair.
@@ -608,8 +554,11 @@ func (e *ordEnv) clone() *ordEnv {
 }
 
 // join merges another path into e: consumed/wrote intersect (must
-// hold on all paths), published unions (may hold on any).
-func (e *ordEnv) join(o *ordEnv) {
+// hold on all paths), published unions (may hold on any). The change
+// report ignores pubLine, so loop fixpoints settle on state, not on
+// trace positions.
+func (e *ordEnv) join(o *ordEnv) bool {
+	changed := false
 	keys := make(map[ordWordKey]bool, len(e.word)+len(o.word))
 	for k := range e.word {
 		keys[k] = true
@@ -627,40 +576,18 @@ func (e *ordEnv) join(o *ordEnv) {
 		if !a.published && b.published {
 			m.pubLine = b.pubLine
 		}
+		changed = changed || m.consumed != a.consumed || m.published != a.published
 		e.word[k] = m
 	}
 	for k := range e.wrote {
 		if !o.wrote[k] {
 			delete(e.wrote, k)
+			changed = true
 		}
 	}
+	changed = changed || e.ordered && !o.ordered
 	e.ordered = e.ordered && o.ordered
-}
-
-// equal compares the rule-relevant bits (pubLine excluded so loop
-// fixpoints terminate on state, not trace positions).
-func (e *ordEnv) equal(o *ordEnv) bool {
-	if len(e.wrote) != len(o.wrote) {
-		return false
-	}
-	for k := range e.wrote {
-		if !o.wrote[k] {
-			return false
-		}
-	}
-	if e.ordered != o.ordered {
-		return false
-	}
-	check := func(x, y *ordEnv) bool {
-		for k := range x.word {
-			a, b := x.state(k), y.state(k)
-			if a.consumed != b.consumed || a.published != b.published {
-				return false
-			}
-		}
-		return true
-	}
-	return check(e, o) && check(o, e)
+	return changed
 }
 
 // launder applies a Go-memory-model edge that orders everything:
@@ -723,54 +650,10 @@ type ordSummary struct {
 	params []*ordParamSum
 }
 
-func ordSumEqual(a, b *ordSummary) bool {
-	if (a == nil) != (b == nil) {
-		return false
-	}
-	if a == nil {
-		return true
-	}
-	if len(a.params) != len(b.params) {
-		return false
-	}
-	eq := func(x, y map[*ordWord]bool) bool {
-		if len(x) != len(y) {
-			return false
-		}
-		for k := range x {
-			if !y[k] {
-				return false
-			}
-		}
-		return true
-	}
-	for i := range a.params {
-		pa, pb := a.params[i], b.params[i]
-		if (pa == nil) != (pb == nil) {
-			return false
-		}
-		if pa == nil {
-			continue
-		}
-		if !eq(pa.requires, pb.requires) || !eq(pa.acquires, pb.acquires) ||
-			!eq(pa.consumes, pb.consumes) || !eq(pa.publishes, pb.publishes) {
-			return false
-		}
-		if len(pa.writes) != len(pb.writes) {
-			return false
-		}
-		for k := range pa.writes {
-			if !pb.writes[k] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// flow runs the summary fixpoint and then a reporting pass over every
-// function of the packages that declare or import a governed type.
-func (oc *ordChecker) flow(pkgs []*Package) []Finding {
+// flowFindings runs the summary fixpoint and then a reporting pass
+// over every function of the packages that declare or import a
+// governed type.
+func (oc *ordChecker) flowFindings(pkgs []*Package) []Finding {
 	if len(oc.specs.byType) == 0 {
 		return nil
 	}
@@ -778,108 +661,58 @@ func (oc *ordChecker) flow(pkgs []*Package) []Finding {
 	for _, s := range oc.specs.byType {
 		specPkgs[s.PkgPath] = true
 	}
-	type fnDecl struct {
-		p  *Package
-		fd *ast.FuncDecl
-	}
-	var fns []fnDecl
-	for _, p := range pkgs {
-		relevant := specPkgs[p.Path]
-		if !relevant && p.Types != nil {
+	fns := flowFuncs(pkgs, func(p *Package) bool {
+		if specPkgs[p.Path] {
+			return true
+		}
+		if p.Types != nil {
 			for _, imp := range p.Types.Imports() {
 				if specPkgs[imp.Path()] {
-					relevant = true
-					break
+					return true
 				}
 			}
 		}
-		if !relevant {
-			continue
-		}
-		for _, f := range p.Files {
-			for _, decl := range f.Decls {
-				if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
-					fns = append(fns, fnDecl{p, fd})
-				}
-			}
-		}
-	}
-	for round := 0; round < 5; round++ {
-		changed := false
-		for _, fn := range fns {
-			w := oc.newWalker(fn.p, fn.fd, false)
-			w.run()
-			key := ordDeclKey(fn.p, fn.fd)
-			if key != "" && !ordSumEqual(oc.summaries[key], w.sum) {
-				oc.summaries[key] = w.sum
-				changed = true
-			}
-		}
-		if !changed {
-			break
-		}
-	}
-	oc.seen = make(map[string]bool)
-	for _, fn := range fns {
-		w := oc.newWalker(fn.p, fn.fd, true)
+		return false
+	})
+	return flowSummaries(fns, oc.summaries, oc.stats, func(fn *flowFunc, findings *[]Finding) *ordSummary {
+		w := oc.newWalker(fn, findings)
 		w.run()
-	}
-	return oc.findings
-}
-
-// ordDeclKey is the summary-table key for a declaration.
-func ordDeclKey(p *Package, fd *ast.FuncDecl) string {
-	fn, _ := p.Info.Defs[fd.Name].(*types.Func)
-	return lifeFuncKey(fn)
+		return w.sum
+	})
 }
 
 // govSpec returns the ordering spec governing t (through pointers).
 func (oc *ordChecker) govSpec(t types.Type) *ordSpec {
-	if t == nil {
-		return nil
-	}
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok || named.Obj() == nil || named.Obj().Pkg() == nil {
-		return nil
-	}
-	return oc.specs.byType[named.Obj().Pkg().Path()+"."+named.Obj().Name()]
-}
-
-func (oc *ordChecker) emit(f Finding) {
-	if oc.seen[f.String()] {
-		return
-	}
-	oc.seen[f.String()] = true
-	oc.findings = append(oc.findings, f)
+	return oc.specs.byType[lifeTypeKey(t)]
 }
 
 // --- per-function walker ----------------------------------------------
 
 // ordWalker interprets one function body. The same walker computes
-// the summary (report=false) and, once summaries are stable, emits
-// findings (report=true).
+// the summary (findings == nil) and, once summaries are stable, emits
+// findings.
 type ordWalker struct {
+	flow[ordEnv, *ordEnv]
 	oc         *ordChecker
 	p          *Package
 	fd         *ast.FuncDecl
 	entryObjs  []types.Object // flattened [receiver?, params...]; nil = ungoverned
 	entryIdx   map[types.Object]int
 	sum        *ordSummary
-	report     bool
+	findings   *[]Finding // nil during summary rounds
 	serialized map[int]bool
 	inGo       int // >0 while interpreting a `go` closure body
 	inLit      int // >0 while interpreting a synchronous func literal
 	exits      []*ordEnv
 }
 
-func (oc *ordChecker) newWalker(p *Package, fd *ast.FuncDecl, report bool) *ordWalker {
+func (oc *ordChecker) newWalker(fn *flowFunc, findings *[]Finding) *ordWalker {
+	p, fd := fn.p, fn.fd
 	w := &ordWalker{
-		oc: oc, p: p, fd: fd, report: report,
+		oc: oc, p: p, fd: fd, findings: findings,
 		entryIdx: make(map[types.Object]int),
 	}
+	w.flow = flow[ordEnv, *ordEnv]{p: p, hooks: w, stats: oc.stats}
 	addFields := func(fl *ast.FieldList) {
 		if fl == nil {
 			return
@@ -911,6 +744,10 @@ func (oc *ordChecker) newWalker(p *Package, fd *ast.FuncDecl, report bool) *ordW
 	return w
 }
 
+// emit records a finding; callers check findings != nil, and the driver
+// drops the repeats loop re-walks produce.
+func (w *ordWalker) emit(f Finding) { *w.findings = append(*w.findings, f) }
+
 func (w *ordWalker) run() {
 	if docSerialized(w.fd.Doc) {
 		// Documented single-threaded span: nothing to check, and the
@@ -924,7 +761,7 @@ func (w *ordWalker) run() {
 		}
 	}
 	env := newOrdEnv()
-	if w.block(env, w.fd.Body.List) {
+	if !w.block(env, w.fd.Body.List) {
 		w.exits = append(w.exits, env)
 	}
 	// Fold the exits into the summary: consumed must hold at every
@@ -955,205 +792,80 @@ func (w *ordWalker) run() {
 
 // --- statements -------------------------------------------------------
 
-// block interprets a statement list; false means the path does not
-// fall through.
-func (w *ordWalker) block(env *ordEnv, stmts []ast.Stmt) bool {
-	for _, s := range stmts {
-		if !w.stmt(env, s) {
-			return false
-		}
+// The flow engine (flow.go) owns control flow; these are ordlint's
+// transfer functions for the leaf statements.
+
+func (w *ordWalker) returnStmt(env *ordEnv, st *ast.ReturnStmt) {
+	for _, r := range st.Results {
+		w.eval(env, r)
 	}
-	return true
+	if w.inGo == 0 && w.inLit == 0 {
+		w.exits = append(w.exits, env.clone())
+	}
 }
 
-func (w *ordWalker) stmt(env *ordEnv, s ast.Stmt) bool {
-	switch st := s.(type) {
-	case *ast.BlockStmt:
-		return w.block(env, st.List)
-	case *ast.ExprStmt:
-		w.expr(env, st.X)
-		if call, ok := ast.Unparen(st.X).(*ast.CallExpr); ok && w.isTerminatorCall(call) {
-			return false
-		}
-	case *ast.ReturnStmt:
-		for _, r := range st.Results {
-			w.expr(env, r)
-		}
-		if w.inGo == 0 && w.inLit == 0 {
-			w.exits = append(w.exits, env.clone())
-		}
-		return false
-	case *ast.AssignStmt:
-		w.assign(env, st)
-	case *ast.IncDecStmt:
-		w.expr(env, st.X) // read
-		w.writeTarget(env, st.X)
-	case *ast.DeclStmt:
-		if gd, ok := st.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				vs, ok := spec.(*ast.ValueSpec)
-				if !ok {
-					continue
-				}
-				for _, v := range vs.Values {
-					w.expr(env, v)
-				}
-				for _, n := range vs.Names {
-					w.define(env, n, nil)
-				}
-			}
-		}
-	case *ast.IfStmt:
-		if st.Init != nil {
-			w.stmt(env, st.Init)
-		}
-		w.expr(env, st.Cond)
-		thenEnv := env.clone()
-		t1 := w.block(thenEnv, st.Body.List)
-		elseEnv := env.clone()
-		t2 := true
-		if st.Else != nil {
-			t2 = w.stmt(elseEnv, st.Else)
-		}
-		switch {
-		case t1 && t2:
-			thenEnv.join(elseEnv)
-			*env = *thenEnv
-		case t1:
-			*env = *thenEnv
-		case t2:
-			*env = *elseEnv
-		default:
-			return false
-		}
-	case *ast.ForStmt:
-		if st.Init != nil {
-			w.stmt(env, st.Init)
-		}
-		for i := 0; i < 4; i++ {
-			before := env.clone()
-			if st.Cond != nil {
-				w.expr(env, st.Cond)
-			}
-			body := env.clone()
-			w.block(body, st.Body.List)
-			if st.Post != nil {
-				w.stmt(body, st.Post)
-			}
-			env.join(body)
-			if env.equal(before) {
-				break
-			}
-		}
-	case *ast.RangeStmt:
-		w.expr(env, st.X)
-		if id, ok := st.Key.(*ast.Ident); ok && id.Name != "_" {
-			w.define(env, id, nil)
-		}
-		if id, ok := st.Value.(*ast.Ident); ok && id.Name != "_" {
-			w.define(env, id, nil)
-		}
-		for i := 0; i < 4; i++ {
-			before := env.clone()
-			body := env.clone()
-			w.block(body, st.Body.List)
-			env.join(body)
-			if env.equal(before) {
-				break
-			}
-		}
-	case *ast.SwitchStmt:
-		if st.Init != nil {
-			w.stmt(env, st.Init)
-		}
-		if st.Tag != nil {
-			w.expr(env, st.Tag)
-		}
-		w.caseClauses(env, st.Body, hasDefaultClause(st.Body))
-	case *ast.TypeSwitchStmt:
-		if st.Init != nil {
-			w.stmt(env, st.Init)
-		}
-		w.stmt(env, st.Assign)
-		w.caseClauses(env, st.Body, hasDefaultClause(st.Body))
-	case *ast.SelectStmt:
-		env.launder() // select blocks on a channel: an ordering edge
-		w.caseClauses(env, st.Body, true)
-	case *ast.SendStmt:
-		w.expr(env, st.Chan)
-		w.expr(env, st.Value)
-		env.launder()
-	case *ast.GoStmt:
-		w.goStmt(env, st)
-	case *ast.DeferStmt:
-		// Args are evaluated now; the call's effects happen at exit
-		// (where they can no longer order anything we check).
-		w.expr(env, st.Call.Fun)
-		for _, a := range st.Call.Args {
-			w.expr(env, a)
-		}
-	case *ast.LabeledStmt:
-		return w.stmt(env, st.Stmt)
-	}
-	return true
+func (w *ordWalker) incDec(env *ordEnv, st *ast.IncDecStmt) {
+	w.eval(env, st.X) // read
+	w.writeTarget(env, st.X)
 }
 
-// caseClauses forks the clause bodies from the current state and
-// joins the survivors (plus the fall-past path when no default).
-func (w *ordWalker) caseClauses(env *ordEnv, body *ast.BlockStmt, exhaustive bool) {
-	var merged *ordEnv
-	fellThrough := !exhaustive
-	for _, c := range body.List {
-		clauseEnv := env.clone()
-		var stmts []ast.Stmt
-		switch cc := c.(type) {
-		case *ast.CaseClause:
-			for _, e := range cc.List {
-				w.expr(clauseEnv, e)
-			}
-			stmts = cc.Body
-		case *ast.CommClause:
-			if cc.Comm != nil {
-				w.stmt(clauseEnv, cc.Comm)
-			}
-			stmts = cc.Body
-		}
-		if w.block(clauseEnv, stmts) {
-			if merged == nil {
-				merged = clauseEnv
-			} else {
-				merged.join(clauseEnv)
-			}
-		}
+func (w *ordWalker) decl(env *ordEnv, vs *ast.ValueSpec) {
+	for _, v := range vs.Values {
+		w.eval(env, v)
 	}
-	if merged == nil {
-		return // every clause exits; keep env for the no-default path
+	for _, n := range vs.Names {
+		w.define(env, n, nil)
 	}
-	if fellThrough {
-		merged.join(env)
-	}
-	*env = *merged
 }
+
+func (w *ordWalker) rangeHead(env *ordEnv, st *ast.RangeStmt) {
+	w.eval(env, st.X)
+	if id, ok := st.Key.(*ast.Ident); ok && id.Name != "_" {
+		w.define(env, id, nil)
+	}
+	if id, ok := st.Value.(*ast.Ident); ok && id.Name != "_" {
+		w.define(env, id, nil)
+	}
+}
+
+// selectEdge: select blocks on a channel, an ordering edge.
+func (w *ordWalker) selectEdge(env *ordEnv) { env.launder() }
+
+func (w *ordWalker) send(env *ordEnv, st *ast.SendStmt) {
+	w.eval(env, st.Chan)
+	w.eval(env, st.Value)
+	env.launder()
+}
+
+// deferStmt: args are evaluated now; the call's effects happen at exit
+// (where they can no longer order anything we check).
+func (w *ordWalker) deferStmt(env *ordEnv, st *ast.DeferStmt) {
+	w.eval(env, st.Call.Fun)
+	for _, a := range st.Call.Args {
+		w.eval(env, a)
+	}
+}
+
+// refine: the model is acquire-shaped, so branch conditions narrow
+// nothing.
+func (w *ordWalker) refine(*ordEnv, ast.Expr, bool) {}
 
 // goStmt interprets a spawned goroutine body under a fresh, raw
 // environment: the new goroutine has no ordering edges until it makes
 // its own.
 func (w *ordWalker) goStmt(env *ordEnv, st *ast.GoStmt) {
 	for _, a := range st.Call.Args {
-		w.expr(env, a) // args evaluate in the spawning goroutine
+		w.eval(env, a) // args evaluate in the spawning goroutine
 	}
-	if lit, ok := ast.Unparen(st.Call.Fun).(*ast.FuncLit); ok {
-		w.inGo++
-		fresh := newOrdEnv()
-		w.block(fresh, lit.Body.List)
-		w.inGo--
-		return
-	}
-	// go obj.Method(...): the callee starts on a goroutine with no
-	// edges; check its entry requirements against a raw state.
 	w.inGo++
 	fresh := newOrdEnv()
-	w.call(fresh, st.Call)
+	if lit, ok := ast.Unparen(st.Call.Fun).(*ast.FuncLit); ok {
+		w.block(fresh, lit.Body.List)
+	} else {
+		// go obj.Method(...): the callee starts on a goroutine with no
+		// edges; check its entry requirements against a raw state.
+		w.call(fresh, st.Call)
+	}
 	w.inGo--
 }
 
@@ -1161,7 +873,7 @@ func (w *ordWalker) goStmt(env *ordEnv, st *ast.GoStmt) {
 // and (re)bindings of governed locals.
 func (w *ordWalker) assign(env *ordEnv, st *ast.AssignStmt) {
 	for _, r := range st.Rhs {
-		w.expr(env, r)
+		w.eval(env, r)
 	}
 	for i, lhs := range st.Lhs {
 		if id, ok := ast.Unparen(lhs).(*ast.Ident); ok {
@@ -1185,10 +897,7 @@ func (w *ordWalker) assign(env *ordEnv, st *ast.AssignStmt) {
 // new, pool gets) are unreachable by other goroutines, and laundering
 // sources (channel receives) already carry their own edge.
 func (w *ordWalker) define(env *ordEnv, id *ast.Ident, from ast.Expr) {
-	obj := w.p.Info.Defs[id]
-	if obj == nil {
-		obj = w.p.Info.Uses[id]
-	}
+	obj := w.p.Info.ObjectOf(id)
 	if obj == nil {
 		return
 	}
@@ -1218,7 +927,7 @@ func (w *ordWalker) define(env *ordEnv, id *ast.Ident, from ast.Expr) {
 func (w *ordWalker) writeTarget(env *ordEnv, lhs ast.Expr) {
 	sel, indices := unwrapFieldOperand(lhs)
 	for _, ix := range indices {
-		w.expr(env, ix)
+		w.eval(env, ix)
 	}
 	if sel == nil {
 		return
@@ -1228,12 +937,12 @@ func (w *ordWalker) writeTarget(env *ordEnv, lhs ast.Expr) {
 		w.writeGuard(env, sel.Pos(), root, spec, field)
 		return
 	}
-	w.expr(env, sel.X) // plain field write: the base is still read
+	w.eval(env, sel.X) // plain field write: the base is still read
 }
 
 // --- expressions ------------------------------------------------------
 
-func (w *ordWalker) expr(env *ordEnv, e ast.Expr) {
+func (w *ordWalker) eval(env *ordEnv, e ast.Expr) {
 	switch x := e.(type) {
 	case nil:
 	case *ast.Ident, *ast.BasicLit:
@@ -1242,34 +951,34 @@ func (w *ordWalker) expr(env *ordEnv, e ast.Expr) {
 	case *ast.CallExpr:
 		w.call(env, x)
 	case *ast.UnaryExpr:
-		w.expr(env, x.X)
+		w.eval(env, x.X)
 		if x.Op == token.ARROW {
 			env.launder() // channel receive: an ordering edge
 		}
 	case *ast.BinaryExpr:
-		w.expr(env, x.X)
-		w.expr(env, x.Y)
+		w.eval(env, x.X)
+		w.eval(env, x.Y)
 	case *ast.ParenExpr:
-		w.expr(env, x.X)
+		w.eval(env, x.X)
 	case *ast.StarExpr:
-		w.expr(env, x.X)
+		w.eval(env, x.X)
 	case *ast.IndexExpr:
-		w.expr(env, x.X)
-		w.expr(env, x.Index)
+		w.eval(env, x.X)
+		w.eval(env, x.Index)
 	case *ast.SliceExpr:
-		w.expr(env, x.X)
-		w.expr(env, x.Low)
-		w.expr(env, x.High)
-		w.expr(env, x.Max)
+		w.eval(env, x.X)
+		w.eval(env, x.Low)
+		w.eval(env, x.High)
+		w.eval(env, x.Max)
 	case *ast.TypeAssertExpr:
-		w.expr(env, x.X)
+		w.eval(env, x.X)
 	case *ast.CompositeLit:
 		for _, el := range x.Elts {
-			w.expr(env, el)
+			w.eval(env, el)
 		}
 	case *ast.KeyValueExpr:
-		w.expr(env, x.Key)
-		w.expr(env, x.Value)
+		w.eval(env, x.Key)
+		w.eval(env, x.Value)
 	case *ast.FuncLit:
 		// A literal invoked (or invocable) on this goroutine: interpret
 		// inline; its returns are its own, not the enclosing function's.
@@ -1287,7 +996,7 @@ func (w *ordWalker) readSel(env *ordEnv, sel *ast.SelectorExpr) {
 			w.readGuard(env, sel.Pos(), root, spec, field)
 		}
 	}
-	w.expr(env, sel.X)
+	w.eval(env, sel.X)
 }
 
 func (w *ordWalker) call(env *ordEnv, call *ast.CallExpr) {
@@ -1299,10 +1008,10 @@ func (w *ordWalker) call(env *ordEnv, call *ast.CallExpr) {
 	}
 	if op, ok := classifyAtomicCall(w.p, call); ok {
 		for _, ix := range op.indices {
-			w.expr(env, ix)
+			w.eval(env, ix)
 		}
 		for _, a := range op.args {
-			w.expr(env, a)
+			w.eval(env, a)
 		}
 		if op.fieldSel == nil {
 			return // operation on a local atomic value
@@ -1326,7 +1035,7 @@ func (w *ordWalker) call(env *ordEnv, call *ast.CallExpr) {
 				return
 			}
 		}
-		w.expr(env, op.fieldSel.X)
+		w.eval(env, op.fieldSel.X)
 		return
 	}
 
@@ -1335,22 +1044,22 @@ func (w *ordWalker) call(env *ordEnv, call *ast.CallExpr) {
 	// waitgroups): everything tracked is ordered after it.
 	if fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == "sync" {
 		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-			w.expr(env, sel.X)
+			w.eval(env, sel.X)
 		}
 		for _, a := range call.Args {
-			w.expr(env, a)
+			w.eval(env, a)
 		}
 		env.launder()
 		return
 	}
 
 	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-		w.expr(env, sel.X)
+		w.eval(env, sel.X)
 	} else if _, isIdent := ast.Unparen(call.Fun).(*ast.Ident); !isIdent {
-		w.expr(env, call.Fun)
+		w.eval(env, call.Fun)
 	}
 	for _, a := range call.Args {
-		w.expr(env, a)
+		w.eval(env, a)
 	}
 
 	if fn == nil {
@@ -1449,14 +1158,14 @@ func (w *ordWalker) readGuard(env *ordEnv, pos token.Pos, root types.Object, spe
 			return
 		}
 	}
-	if w.report {
+	if w.findings != nil {
 		msg := fmt.Sprintf("read of %s.%s is not ordered after a consume of %s (no acquire on this path)",
 			spec.TypeName, field, firstWord.Name)
 		if pubWord != nil {
 			msg = fmt.Sprintf("read of %s.%s after %s was published at line %d (the release gave the field away)",
 				spec.TypeName, field, pubWord.Name, pubLine)
 		}
-		w.oc.emit(Finding{
+		w.emit(Finding{
 			Pos:  position,
 			Rule: RuleOrdUnorderedRead,
 			Msg:  msg,
@@ -1480,8 +1189,8 @@ func (w *ordWalker) writeGuard(env *ordEnv, pos token.Pos, root types.Object, sp
 		k := ordWordKey{root, word}
 		st := env.state(k)
 		if st.published && !covered {
-			if w.report {
-				w.oc.emit(Finding{
+			if w.findings != nil {
+				w.emit(Finding{
 					Pos:  position,
 					Rule: RuleOrdPubBeforeInit,
 					Msg: fmt.Sprintf("write to %s.%s after %s was published at line %d",
@@ -1525,18 +1234,18 @@ func ordArgRoot(p *Package, e ast.Expr) types.Object {
 	if u, ok := e.(*ast.UnaryExpr); ok && u.Op == token.AND {
 		e = ast.Unparen(u.X)
 	}
-	id, ok := e.(*ast.Ident)
-	if !ok {
-		return nil
+	if id, ok := e.(*ast.Ident); ok {
+		return rootVar(p, id)
 	}
-	o := p.Info.Uses[id]
-	if o == nil {
-		o = p.Info.Defs[id]
+	return nil
+}
+
+// rootVar is the variable an identifier names, or nil.
+func rootVar(p *Package, id *ast.Ident) types.Object {
+	if v, ok := p.Info.ObjectOf(id).(*types.Var); ok {
+		return v
 	}
-	if _, isVar := o.(*types.Var); !isVar {
-		return nil
-	}
-	return o
+	return nil
 }
 
 // applySummary replays a callee's summarized protocol effects on the
@@ -1570,8 +1279,8 @@ func (w *ordWalker) applySummary(env *ordEnv, call *ast.CallExpr, fn *types.Func
 			}
 			if isEntry && !st.published {
 				w.sum.params[entry].requires[word] = true
-			} else if w.report && !covered {
-				w.oc.emit(Finding{
+			} else if w.findings != nil && !covered {
+				w.emit(Finding{
 					Pos:  pos,
 					Rule: RuleOrdUnorderedRead,
 					Msg: fmt.Sprintf("%s reads %s-guarded fields of %s, but %s was not consumed on this path",
@@ -1605,8 +1314,8 @@ func (w *ordWalker) applySummary(env *ordEnv, call *ast.CallExpr, fn *types.Func
 				k := ordWordKey{obj, word}
 				st := env.state(k)
 				if st.published {
-					if w.report && !covered {
-						w.oc.emit(Finding{
+					if w.findings != nil && !covered {
+						w.emit(Finding{
 							Pos:  pos,
 							Rule: RuleOrdPubBeforeInit,
 							Msg: fmt.Sprintf("%s writes %s.%s after %s was published at line %d",
@@ -1640,25 +1349,4 @@ func (w *ordWalker) applySummary(env *ordEnv, call *ast.CallExpr, fn *types.Func
 			env.word[k] = st
 		}
 	}
-}
-
-// isTerminatorCall recognizes calls that end the goroutine: the path
-// contributes no exit state.
-func (w *ordWalker) isTerminatorCall(call *ast.CallExpr) bool {
-	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-		if b, isB := w.p.Info.Uses[id].(*types.Builtin); isB && b.Name() == "panic" {
-			return true
-		}
-	}
-	fn := calleeFunc(w.p, call)
-	if fn == nil || fn.Pkg() == nil {
-		return false
-	}
-	switch fn.Pkg().Path() {
-	case "os":
-		return fn.Name() == "Exit"
-	case "runtime":
-		return fn.Name() == "Goexit"
-	}
-	return false
 }

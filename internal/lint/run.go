@@ -51,11 +51,13 @@ type Options struct {
 }
 
 // runInput is the shared state every analyzer run function receives:
-// the resolved options and the one package load of the run.
+// the resolved options and the one package load of the run. The flow
+// analyzers record how their fixpoints ended in life and ord.
 type runInput struct {
-	opts Options
-	pkgs []*Package
-	ld   *Loader
+	opts      Options
+	pkgs      []*Package
+	ld        *Loader
+	life, ord flowStats
 }
 
 // Analyzer is one registered copiervet analyzer. This table is the
@@ -123,7 +125,7 @@ var Analyzers = []Analyzer{
 		Doc:   "lifecycle typestate of protocol objects (//copier:lifecycle)",
 		Rules: []string{RuleLifeLeak, RuleLifeDoubleRelease, RuleLifeUseAfterRelease, RuleLifeState, RuleLifeSpec},
 		run: func(in *runInput) ([]Finding, error) {
-			return LifeLint(in.pkgs), nil
+			return lifeLint(in.pkgs, &in.life), nil
 		},
 	},
 	{
@@ -131,7 +133,7 @@ var Analyzers = []Analyzer{
 		Doc:   "happens-before publication order (//copier:ordered, //copier:spin)",
 		Rules: []string{RuleOrdPubBeforeInit, RuleOrdUnorderedRead, RuleOrdMixedAtomics, RuleOrdSpinUnbounded, RuleOrdSpec},
 		run: func(in *runInput) ([]Finding, error) {
-			return OrdLint(in.pkgs, in.opts.Ord), nil
+			return ordLint(in.pkgs, in.opts.Ord, &in.ord), nil
 		},
 	},
 	{
@@ -184,6 +186,13 @@ type Result struct {
 // over the shared load, returning the surviving (unsuppressed)
 // findings sorted by position.
 func Run(opts Options) (*Result, error) {
+	res, _, err := run(opts)
+	return res, err
+}
+
+// run is Run that also returns the run's shared input, for the tests
+// that check the flow analyzers' fixpoints.
+func run(opts Options) (*Result, *runInput, error) {
 	if len(opts.Patterns) == 0 {
 		opts.Patterns = []string{"./..."}
 	}
@@ -205,7 +214,7 @@ func Run(opts Options) (*Result, error) {
 	start := time.Now()
 	pkgs, ld, err := Load(opts.Dir, opts.Patterns...)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	res.Timings = append(res.Timings, PhaseTime{"load", time.Since(start)})
 	res.ModuleRoot = ld.ModuleRoot
@@ -244,7 +253,7 @@ func Run(opts Options) (*Result, error) {
 		t0 := time.Now()
 		fs, err := a.run(in)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		findings = append(findings, fs...)
 		res.Timings = append(res.Timings, PhaseTime{a.Name, time.Since(t0)})
@@ -278,7 +287,7 @@ func Run(opts Options) (*Result, error) {
 	SortFindings(findings)
 	res.Findings = findings
 	res.Counts = CountByRule(findings)
-	return res, nil
+	return res, in, nil
 }
 
 // inDomain reports whether import path pkg falls under a domain dir

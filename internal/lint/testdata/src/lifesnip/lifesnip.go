@@ -126,3 +126,25 @@ type badSpec struct{}
 
 // Close exists so only the state name — not the method — is the error.
 func (badSpec) Close() {}
+
+// releaseInPost releases in the loop's post statement, which runs at
+// the end of every iteration: the next iteration's Wait is a
+// use-after-release, and the zero-iteration path drops the live
+// handle. life-use-after-release and life-leak.
+func releaseInPost(n int) {
+	r := resx.New()
+	for i := 0; i < n; r.Release() {
+		r.Wait()
+		i++
+	}
+}
+
+// releaseInBody is the same loop with the release moved into the
+// body; it reports the same rules as releaseInPost.
+func releaseInBody(n int) {
+	r := resx.New()
+	for i := 0; i < n; i++ {
+		r.Wait()
+		r.Release()
+	}
+}
