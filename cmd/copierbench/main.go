@@ -20,6 +20,9 @@
 // bytes-per-second results as JSON — `make bench` uses this to
 // refresh BENCH_results.json.
 //
+// -cpuprofile FILE writes a runtime/pprof CPU profile of the selected
+// experiments (not of output writing) to FILE, for `go tool pprof`.
+//
 // -shards N runs parallelizable experiments (fig9, fig12b, chaos,
 // fleet, fleetpar, chaosfleet) on N host worker threads. Output is
 // byte-identical at every value — the conservative-lookahead window
@@ -33,6 +36,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime/pprof"
 	"strings"
 
 	"copier/internal/bench"
@@ -62,6 +66,26 @@ func runBenchJSON(path string) {
 	fmt.Fprintf(os.Stderr, "copierbench: wrote %d benchmark results to %s\n", len(rep.Results), path)
 }
 
+// startCPUProfile starts a CPU profile into path and returns the
+// function that stops it and closes the file.
+func startCPUProfile(path string) func() {
+	f, err := os.Create(path)
+	if err == nil {
+		err = pprof.StartCPUProfile(f)
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "copierbench: %v\n", err)
+		os.Exit(1)
+	}
+	return func() {
+		pprof.StopCPUProfile()
+		if err := f.Close(); err != nil {
+			fmt.Fprintf(os.Stderr, "copierbench: %v\n", err)
+			os.Exit(1)
+		}
+	}
+}
+
 func main() {
 	list := flag.Bool("list", false, "list experiments")
 	run := flag.String("run", "all", "experiment id (or comma list, or 'all')")
@@ -70,6 +94,7 @@ func main() {
 	metrics := flag.Bool("metrics", false, "print event-count and latency-histogram summary")
 	benchjson := flag.String("benchjson", "", "run hot-path microbenchmarks and write JSON results to this file")
 	shards := flag.Int("shards", 1, "host worker threads for parallelizable experiments (output is byte-identical at any value)")
+	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")
 	flag.Parse()
 
 	bench.SetWorkers(*shards)
@@ -109,6 +134,10 @@ func main() {
 	} else {
 		ids = strings.Split(*run, ",")
 	}
+	stopProfile := func() {}
+	if *cpuprofile != "" {
+		stopProfile = startCPUProfile(*cpuprofile)
+	}
 	for _, id := range ids {
 		e, ok := bench.ByID(strings.TrimSpace(id))
 		if !ok {
@@ -119,6 +148,7 @@ func main() {
 			t.Fprint(os.Stdout)
 		}
 	}
+	stopProfile()
 
 	if rec == nil {
 		return

@@ -1,12 +1,14 @@
 package bench
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
 	"copier/internal/acopy"
 	"copier/internal/core"
 	"copier/internal/cycles"
+	"copier/internal/mem"
 	"copier/internal/sim"
 )
 
@@ -73,11 +75,14 @@ type ChaosSLO struct {
 // the shards=1-vs-N identity goldens enforce that — so NsPerOp
 // isolates the wall-clock effect of the conservative parallel event
 // loop. Speedup is relative to the series' serial point on the same
-// host and is bounded above by min(shards, CPUs).
+// host and is bounded above by min(shards, CPUs). A worker count above
+// the host's CPU count would time-slice, not scale, so that point is
+// not timed: Unmeasured names the CPU count instead.
 type ParallelResult struct {
-	Workers int     `json:"workers"`
-	NsPerOp float64 `json:"ns_per_op"`
-	Speedup float64 `json:"speedup"`
+	Workers    int     `json:"workers"`
+	NsPerOp    float64 `json:"ns_per_op,omitempty"`
+	Speedup    float64 `json:"speedup,omitempty"`
+	Unmeasured string  `json:"unmeasured,omitempty"`
 }
 
 // MicroReport is the top-level BENCH_results.json document.
@@ -203,6 +208,23 @@ func RunMicrobenches() MicroReport {
 		}
 	}))
 
+	// ATCache: one InsertW of a new key into a full 4,096-entry cache,
+	// so every op evicts the LRU entry (mirrors
+	// core.BenchmarkATCacheInsertEvict).
+	results = append(results, micro("core/atcache-insert-evict", 0, func(b *testing.B) {
+		as := mem.NewAddrSpace(mem.NewPhysMem(1 << 20))
+		c := core.NewATCache(4096)
+		for vpn := uint64(0); vpn < 4096; vpn++ {
+			c.InsertW(as, vpn, mem.Frame(vpn), true)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			vpn := uint64(4096 + i)
+			c.InsertW(as, vpn, mem.Frame(vpn), true)
+		}
+	}))
+
 	// Service end-to-end: one op drives 40 back-to-back 64KB copies
 	// through submit → admit → dispatch → completion on the simulated
 	// machine; SimBytesPerSec is simulated payload per wall second, the
@@ -303,6 +325,10 @@ func RunMicrobenches() MicroReport {
 	var serialNs float64
 	for _, w := range []int{1, 2, 4} {
 		w := w
+		if w > runtime.NumCPU() {
+			parallel = append(parallel, ParallelResult{Workers: w, Unmeasured: fmt.Sprintf("%d CPUs", runtime.NumCPU())})
+			continue
+		}
 		r := testing.Benchmark(func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				FleetParRun(w)

@@ -7,7 +7,7 @@ import "testing"
 // through submit → admit → dispatch → completion. Everything on the
 // path — scheduling, dependency analysis, translation, pinning,
 // chunking, DMA batch submission, completion walk — runs out of
-// recycled buffers; steady state measures ~1 alloc/op. The asserted
+// recycled buffers; steady state measures 0 allocs/op. The asserted
 // ceiling of 64 is the acceptance budget, left loose so unrelated
 // runtime noise (timer wheels, GC assists) cannot flake the pin.
 func TestServiceSteadyAllocs(t *testing.T) {

@@ -9,11 +9,18 @@ import (
 // locality (recycled buffer pools, fixed I/O buffers — "the address
 // recurrence in Redis surpasses 75%"), so Copier caches translations.
 // The memory subsystem invalidates entries on mapping changes.
+//
+// Entries live in a slot array threaded on an intrusive doubly-linked
+// LRU list (head = most recently used) and indexed by a map, so a
+// lookup, an insert with eviction, and an invalidation are all O(1)
+// and none allocates once the slot array has grown to capacity.
 type ATCache struct {
-	cap     int
-	entries map[atKey]*atEntry
-	// LRU ring: entries carry a use stamp; eviction scans lazily.
-	stamp uint64
+	cap   int
+	index map[atKey]int32
+	slots []atSlot
+	// head and tail are the MRU and LRU ends of the list; free heads
+	// the chain of vacated slots (linked through next). -1 = none.
+	head, tail, free int32
 
 	Hits   int64
 	Misses int64
@@ -26,26 +33,27 @@ type atKey struct {
 	vpn uint64
 }
 
-type atEntry struct {
-	frame    mem.Frame
-	writable bool
-	used     uint64
+type atSlot struct {
+	key        atKey
+	frame      mem.Frame
+	writable   bool
+	prev, next int32
 }
 
-// NewATCache creates a cache bounded to roughly capEntries entries.
+// NewATCache creates a cache bounded to capEntries entries.
 func NewATCache(capEntries int) *ATCache {
 	if capEntries <= 0 {
 		capEntries = 4096
 	}
-	return &ATCache{cap: capEntries, entries: make(map[atKey]*atEntry)}
+	return &ATCache{cap: capEntries, index: make(map[atKey]int32), head: -1, tail: -1, free: -1}
 }
 
 // Attach registers invalidation callbacks on an address space. Call
 // once per client address space.
 func (c *ATCache) Attach(as *mem.AddrSpace) {
 	as.OnMappingChange(func(vpn uint64) {
-		if _, ok := c.entries[atKey{as, vpn}]; ok {
-			delete(c.entries, atKey{as, vpn})
+		if i, ok := c.index[atKey{as, vpn}]; ok {
+			c.remove(i)
 			c.Invalidations++
 		}
 	})
@@ -63,16 +71,16 @@ func (c *ATCache) LookupW(as *mem.AddrSpace, vpn uint64) (mem.Frame, bool) {
 	return c.lookup(as, vpn, true)
 }
 
+//copier:noalloc
 func (c *ATCache) lookup(as *mem.AddrSpace, vpn uint64, write bool) (mem.Frame, bool) {
-	e, ok := c.entries[atKey{as, vpn}]
-	if !ok || (write && !e.writable) {
+	i, ok := c.index[atKey{as, vpn}]
+	if !ok || (write && !c.slots[i].writable) {
 		c.Misses++
 		return mem.NoFrame, false
 	}
-	c.stamp++
-	e.used = c.stamp
+	c.touch(i)
 	c.Hits++
-	return e.frame, true
+	return c.slots[i].frame, true
 }
 
 // Insert records a translation, evicting the least-recently-used
@@ -81,25 +89,77 @@ func (c *ATCache) Insert(as *mem.AddrSpace, vpn uint64, f mem.Frame) {
 	c.InsertW(as, vpn, f, false)
 }
 
-// InsertW records a translation with its writability.
+// InsertW records a translation with its writability. A full cache
+// evicts its LRU entry first, even when the key itself is cached: the
+// write upgrade of a read-only entry then leaves cap−1 entries.
+//
+//copier:noalloc
 func (c *ATCache) InsertW(as *mem.AddrSpace, vpn uint64, f mem.Frame, writable bool) {
-	if len(c.entries) >= c.cap {
-		var victim atKey
-		var oldest uint64 = ^uint64(0)
-		for k, e := range c.entries {
-			if e.used < oldest {
-				oldest = e.used
-				victim = k
-			}
-		}
-		delete(c.entries, victim)
+	if len(c.index) >= c.cap {
+		c.remove(c.tail)
 	}
-	c.stamp++
-	c.entries[atKey{as, vpn}] = &atEntry{frame: f, writable: writable, used: c.stamp}
+	k := atKey{as, vpn}
+	if i, ok := c.index[k]; ok {
+		s := &c.slots[i]
+		s.frame, s.writable = f, writable
+		c.touch(i)
+		return
+	}
+	i := c.free
+	if i >= 0 {
+		c.free = c.slots[i].next
+	} else {
+		i = int32(len(c.slots))
+		c.slots = append(c.slots, atSlot{})
+	}
+	c.slots[i] = atSlot{key: k, frame: f, writable: writable}
+	c.index[k] = i
+	c.pushFront(i)
+}
+
+// remove drops slot i from the index and the list and frees it.
+func (c *ATCache) remove(i int32) {
+	delete(c.index, c.slots[i].key)
+	c.unlink(i)
+	c.slots[i] = atSlot{next: c.free}
+	c.free = i
+}
+
+// touch makes slot i the most recently used.
+func (c *ATCache) touch(i int32) {
+	if c.head != i {
+		c.unlink(i)
+		c.pushFront(i)
+	}
+}
+
+func (c *ATCache) unlink(i int32) {
+	s := &c.slots[i]
+	if s.prev >= 0 {
+		c.slots[s.prev].next = s.next
+	} else {
+		c.head = s.next
+	}
+	if s.next >= 0 {
+		c.slots[s.next].prev = s.prev
+	} else {
+		c.tail = s.prev
+	}
+}
+
+func (c *ATCache) pushFront(i int32) {
+	s := &c.slots[i]
+	s.prev, s.next = -1, c.head
+	if c.head >= 0 {
+		c.slots[c.head].prev = i
+	} else {
+		c.tail = i
+	}
+	c.head = i
 }
 
 // Len reports the number of cached translations.
-func (c *ATCache) Len() int { return len(c.entries) }
+func (c *ATCache) Len() int { return len(c.index) }
 
 // HitRate returns Hits/(Hits+Misses), or 0 with no lookups.
 func (c *ATCache) HitRate() float64 {

@@ -35,7 +35,7 @@ func (jc *JobCtx) Index() int { return jc.idx }
 // attaches the shared ambient recorder, which is not safe to feed from
 // worker threads.
 func (jc *JobCtx) NewEnv() *Env {
-	e := &Env{yielded: make(chan struct{})}
+	e := &Env{}
 	e.rec = jc.rec
 	e.tracer = jc.tracer
 	return e

@@ -3,10 +3,11 @@
 // Every higher layer of this repository — the simulated machine, the
 // kernel, the Copier service and the application workloads — runs on top
 // of this package. Time is virtual and measured in CPU cycles
-// (sim.Time). Simulation processes are implemented as goroutines that
-// hand control to each other through channels so that exactly one
-// process runs at any instant; combined with a strictly ordered event
-// heap this makes every run bit-for-bit reproducible.
+// (sim.Time). Simulation processes are runtime coroutines (iter.Pull):
+// the event loop switches directly into a process and the process
+// switches directly back, so exactly one process runs at any instant;
+// combined with a strictly ordered event heap this makes every run
+// bit-for-bit reproducible.
 //
 // The design mirrors classic process-based simulators (SimPy, OMNeT++):
 //
@@ -19,15 +20,9 @@
 //     (a monotone sequence number breaks ties), never concurrently.
 package sim
 
-// The goroutines and channels in this file are not simulated
-// concurrency — they are the coroutine mechanism that gives every
-// other package deterministic virtual time: exactly one process runs
-// at any instant, control handed over through unbuffered channels, so
-// heap order (not channel or scheduler order) decides execution.
-//copiervet:ignore-file det-go,det-sync this file implements the sim.Proc coroutine handoff; the channels/goroutines here are the sanctioned substrate everything else is checked against
-
 import (
 	"fmt"
+	"iter"
 	"sort"
 
 	"copier/internal/obs"
@@ -66,9 +61,8 @@ type Env struct {
 	now     Time
 	events  eventQueue
 	seq     uint64
-	yielded chan struct{} // a proc hands control back to the main loop
-	procs   []*Proc       // all spawned, for deadlock diagnosis
-	nlive   int           // procs started and not yet finished
+	procs   []*Proc // all spawned, for deadlock diagnosis
+	nlive   int     // procs started and not yet finished
 	running bool
 	tracer  func(t Time, format string, args ...any)
 	rec     *obs.Recorder
@@ -81,7 +75,7 @@ var OnNewEnv func(*Env)
 
 // NewEnv returns an empty environment at time zero.
 func NewEnv() *Env {
-	e := &Env{yielded: make(chan struct{})}
+	e := &Env{}
 	if OnNewEnv != nil {
 		OnNewEnv(e)
 	}
@@ -135,18 +129,28 @@ func (e *Env) Schedule(d Time, fn func()) EventHandle {
 // a time; a Proc gives up control by calling Wait or by blocking on one
 // of the synchronization primitives in this package.
 type Proc struct {
-	env    *Env
-	name   string
-	resume chan struct{}
+	env  *Env
+	name string
+	// next resumes the coroutine until it yields or finishes; yieldFn,
+	// valid once the body is running, switches back to whoever called
+	// next.
+	next    func() (struct{}, bool)
+	yieldFn func(struct{}) bool
 	// blockedOn is a human-readable reason set while the proc is
 	// waiting on a Signal/Queue; used in deadlock reports.
 	blockedOn string
 	finished  bool
 	started   bool
 	// handoffFn is the pre-allocated Schedule target for every wake
-	// path (Wait, Broadcast, Queue.Release), so the steady-state
-	// sleep/wake cycle allocates nothing.
+	// path (Wait, Broadcast, Queue.Release), and timeoutFn the one for
+	// a WaitTimeout expiry, so the steady-state sleep/wake cycle
+	// allocates nothing.
 	handoffFn func()
+	timeoutFn func()
+	// timeoutEpoch is the episode the pending WaitTimeout expiry may
+	// end. A proc has at most one expiry live: it is canceled when a
+	// broadcast ends the episode first.
+	timeoutEpoch uint64
 	// waitEpoch numbers this proc's blocking episodes: bumped on entry
 	// and exit of every Signal wait, so a stale waiter entry (left
 	// behind by a timeout) can never match the current episode.
@@ -160,8 +164,18 @@ type Proc struct {
 // at the current instant (after already-scheduled events at this
 // instant). fn receives its own *Proc.
 func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{env: e, name: name, resume: make(chan struct{})}
+	p := &Proc{env: e, name: name}
+	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		p.yieldFn = yield
+		fn(p)
+		p.finished = true
+		e.nlive--
+		if r := e.rec; r != nil {
+			r.Emit(obs.Event{T: int64(e.now), Kind: obs.EvProcEnd, Layer: obs.LayerSim, Track: "sim:procs", Name: p.name})
+		}
+	})
 	p.handoffFn = p.handoff
+	p.timeoutFn = p.timeout
 	e.procs = append(e.procs, p)
 	e.nlive++
 	e.Schedule(0, func() {
@@ -169,33 +183,19 @@ func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
 		if r := e.rec; r != nil {
 			r.Emit(obs.Event{T: int64(e.now), Kind: obs.EvProcStart, Layer: obs.LayerSim, Track: "sim:procs", Name: p.name})
 		}
-		go func() {
-			<-p.resume
-			fn(p)
-			p.finished = true
-			p.env.nlive--
-			if r := p.env.rec; r != nil {
-				r.Emit(obs.Event{T: int64(p.env.now), Kind: obs.EvProcEnd, Layer: obs.LayerSim, Track: "sim:procs", Name: p.name})
-			}
-			p.env.yielded <- struct{}{}
-		}()
 		p.handoff()
 	})
 	return p
 }
 
-// handoff transfers control from the event loop to p and waits for it
-// to yield back. Must be called from the event loop.
-func (p *Proc) handoff() {
-	p.resume <- struct{}{}
-	<-p.env.yielded
-}
+// handoff switches from the event loop into p and returns when p
+// yields or finishes. Must be called from the event loop. A panic or
+// runtime.Goexit in p's body re-raises here.
+func (p *Proc) handoff() { p.next() }
 
-// yield gives control back to the event loop and blocks until resumed.
-func (p *Proc) yield() {
-	p.env.yielded <- struct{}{}
-	<-p.resume
-}
+// yield switches from p back to the event loop and returns when p is
+// next handed control.
+func (p *Proc) yield() { p.yieldFn(struct{}{}) }
 
 // Env returns the environment this process belongs to.
 func (p *Proc) Env() *Env { return p.env }
@@ -273,11 +273,8 @@ func (s *Signal) Wait(p *Proc) {
 func (s *Signal) WaitTimeout(p *Proc, d Time) bool {
 	epoch := p.enterWait()
 	s.waiters = append(s.waiters, sigWaiter{p: p, epoch: epoch})
-	h := p.env.Schedule(d, func() {
-		if p.waitEpoch == epoch && !p.sigWoken {
-			p.handoff()
-		}
-	})
+	p.timeoutEpoch = epoch
+	h := p.env.Schedule(d, p.timeoutFn)
 	p.blockedOn = s.blocked
 	p.yield()
 	woken := p.sigWoken
@@ -288,6 +285,14 @@ func (s *Signal) WaitTimeout(p *Proc, d Time) bool {
 		return true
 	}
 	return false
+}
+
+// timeout ends the WaitTimeout episode it was scheduled for, unless a
+// broadcast already woke it.
+func (p *Proc) timeout() {
+	if p.waitEpoch == p.timeoutEpoch && !p.sigWoken {
+		p.handoff()
+	}
 }
 
 // Broadcast wakes all current waiters. Each waiter resumes at the
@@ -410,6 +415,10 @@ func (d *DeadlockError) Error() string {
 // Run executes events until the heap is empty or the clock passes
 // until (use Infinity for "run to completion"). It returns a
 // *DeadlockError if the heap drained while processes remain blocked.
+//
+// A panic in a process body propagates out of Run on the caller's
+// goroutine, where the caller may recover it; a runtime.Goexit in a
+// body (t.Fatal, for one) ends the goroutine that called Run.
 func (e *Env) Run(until Time) error {
 	if e.running {
 		panic("sim: Run reentered")

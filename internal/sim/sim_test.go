@@ -2,8 +2,10 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestScheduleOrdering(t *testing.T) {
@@ -297,4 +299,50 @@ func TestNegativeWaitPanics(t *testing.T) {
 		p.Wait(-1)
 	})
 	_ = e.Run(Infinity)
+}
+
+// A panic in a process body comes out of Run on the caller's
+// goroutine, where the caller can recover it.
+func TestProcPanicReachesRunCaller(t *testing.T) {
+	e := NewEnv()
+	e.Go("boom", func(p *Proc) {
+		p.Wait(5)
+		panic("boom")
+	})
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		_ = e.Run(Infinity)
+	}()
+	if got != "boom" {
+		t.Fatalf("recovered %v at Run's caller, want \"boom\"", got)
+	}
+	if e.Now() != 5 {
+		t.Fatalf("now = %d, want 5", e.Now())
+	}
+}
+
+// A runtime.Goexit in a process body (what t.Fatal does) ends the
+// goroutine that called Run instead of leaving Run blocked.
+func TestProcGoexitEndsRunCaller(t *testing.T) {
+	e := NewEnv()
+	e.Go("quitter", func(p *Proc) {
+		p.Wait(5)
+		runtime.Goexit()
+	})
+	returned := false
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_ = e.Run(Infinity)
+		returned = true
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Run's caller still blocked 10s after the body called runtime.Goexit")
+	}
+	if returned {
+		t.Fatal("Run returned; want its caller's goroutine ended by the Goexit")
+	}
 }
