@@ -189,6 +189,35 @@ func RunMicrobenches() MicroReport {
 		}
 	}))
 
+	// Simulator: a lone sleeper, whose every Wait takes the
+	// switch-free path (mirrors sim.BenchmarkProcWaitSolo);
+	// sim/proc-ping-pong is the control that still switches.
+	results = append(results, micro("sim/proc-wait-solo", 0, func(b *testing.B) {
+		e := sim.NewEnv()
+		n := b.N
+		e.Go("p", func(p *sim.Proc) {
+			for i := 0; i < n; i++ {
+				p.Wait(1)
+			}
+		})
+		b.ReportAllocs()
+		b.ResetTimer()
+		if err := e.Run(sim.Infinity); err != nil {
+			b.Fatal(err)
+		}
+	}))
+
+	// Memory: a default-size (256 MB) machine's physical memory, whose
+	// frames materialize on first touch (mirrors mem.BenchmarkNewPhysMem).
+	var pm *mem.PhysMem
+	results = append(results, micro("mem/new-physmem-256m", 0, func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			pm = mem.NewPhysMem(256 << 20)
+		}
+	}))
+	runtime.KeepAlive(pm)
+
 	// Service ring: batched drain — 16 publishes, one PopN, one tail
 	// update (mirrors core.BenchmarkRingPopN; one op = one 16-task
 	// round).

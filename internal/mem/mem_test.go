@@ -3,6 +3,8 @@ package mem
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -71,17 +73,74 @@ func TestPhysExhaustion(t *testing.T) {
 	}
 }
 
+// TestFrameZeroedOnAlloc dirties every frame, frees frame 0 and the
+// pair straddling the first chunk boundary, and reallocates them: each
+// reused frame must read as zero end to end.
 func TestFrameZeroedOnAlloc(t *testing.T) {
-	pm := NewPhysMem(4 * PageSize)
-	f, _ := pm.AllocFrame()
-	copy(pm.FrameBytes(f), []byte("dirty"))
-	pm.DecRef(f)
-	g, _ := pm.AllocFrame()
-	if g != f {
-		t.Skip("allocator did not reuse frame")
+	pm := NewPhysMem(2 * chunkFrames * PageSize)
+	fs, err := pm.AllocFrames(2 * chunkFrames)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !bytes.Equal(pm.FrameBytes(g)[:5], make([]byte, 5)) {
-		t.Fatal("reused frame not zeroed")
+	for _, f := range fs {
+		copy(pm.FrameBytes(f), bytes.Repeat([]byte("dirty"), PageSize/5))
+	}
+	for _, f := range []Frame{0, chunkFrames - 1, chunkFrames} {
+		pm.DecRef(f)
+	}
+	first, err := pm.AllocFrames(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pair, err := pm.AllocFrames(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reused := append(first, pair...)
+	if want := []Frame{0, chunkFrames - 1, chunkFrames}; fmt.Sprint(reused) != fmt.Sprint(want) {
+		t.Fatalf("reallocated %v, want %v", reused, want)
+	}
+	zero := make([]byte, PageSize)
+	for _, f := range reused {
+		if !bytes.Equal(pm.FrameBytes(f), zero) {
+			t.Errorf("reused frame %d not zeroed", f)
+		}
+	}
+}
+
+// TestNewPhysMemIsLazy: building a default-size machine's RAM costs
+// bookkeeping, not the RAM itself.
+func TestNewPhysMemIsLazy(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	pm := NewPhysMem(256 << 20)
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(pm)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("NewPhysMem(256 MB) allocated %d bytes of heap, want < 1 MB", got)
+	}
+}
+
+// TestFrameBytesAcrossChunks: in a 65-frame PhysMem (one full chunk
+// plus a one-frame tail) every frame, the last included, is a
+// PageSize window of its own; writing one never shows through another,
+// in particular not across the chunk boundary between 63 and 64.
+func TestFrameBytesAcrossChunks(t *testing.T) {
+	const n = chunkFrames + 1
+	pm := NewPhysMem(n * PageSize)
+	for f := Frame(0); f < n; f++ {
+		b := pm.FrameBytes(f)
+		if len(b) != PageSize || cap(b) != PageSize {
+			t.Fatalf("frame %d: len %d cap %d, want %d", f, len(b), cap(b), PageSize)
+		}
+		for i := range b {
+			b[i] = byte(f)
+		}
+	}
+	for f := Frame(0); f < n; f++ {
+		if !bytes.Equal(pm.FrameBytes(f), bytes.Repeat([]byte{byte(f)}, PageSize)) {
+			t.Errorf("frame %d does not hold its own bytes", f)
+		}
 	}
 }
 
@@ -456,5 +515,16 @@ func TestMUnmapUnknown(t *testing.T) {
 	as := NewAddrSpace(pm)
 	if err := as.MUnmap(VA(0xdead000)); err == nil {
 		t.Fatal("munmap of unknown VMA succeeded")
+	}
+}
+
+var sinkPM *PhysMem
+
+// BenchmarkNewPhysMem builds a default-size (256 MB) machine's
+// physical memory, the setup cost every kernel.NewMachine pays.
+func BenchmarkNewPhysMem(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sinkPM = NewPhysMem(256 << 20)
 	}
 }

@@ -24,6 +24,10 @@ const PageSize = units.PageSize
 // PageShift is log2(PageSize).
 const PageShift = 12
 
+// chunkFrames is how many frames one backing chunk holds: PhysMem
+// materializes its bytes 64 frames (256 KB) at a time, on first touch.
+const chunkFrames = 64
+
 // Frame is a physical frame number.
 type Frame int32
 
@@ -50,11 +54,15 @@ const (
 var ErrNoMemory = errors.New("mem: out of physical frames")
 
 // PhysMem is the machine's physical memory: a frame allocator plus the
-// backing bytes.
+// backing bytes. The bytes live in chunks of chunkFrames frames, each
+// allocated (already zero) by the first FrameBytes call into it, so a
+// machine costs host memory for the frames a run touches, not for its
+// configured size. Like everything a simulation owns, a PhysMem belongs
+// to one job or shard and is never touched by two host threads at once.
 type PhysMem struct {
 	nframes int
-	data    []byte
-	refcnt  []int32 // frames shared by CoW have refcnt > 1
+	chunks  [][]byte // nil until first touch
+	refcnt  []int32  // frames shared by CoW have refcnt > 1
 	free    []bool
 	nfree   int
 	policy  AllocPolicy
@@ -74,7 +82,7 @@ func NewPhysMem(size int64) *PhysMem {
 	}
 	pm := &PhysMem{
 		nframes: n,
-		data:    make([]byte, int64(n)<<PageShift),
+		chunks:  make([][]byte, (n+chunkFrames-1)/chunkFrames),
 		refcnt:  make([]int32, n),
 		free:    make([]bool, n),
 		nfree:   n,
@@ -194,7 +202,9 @@ func (pm *PhysMem) take(f Frame) Frame {
 	pm.free[f] = false
 	pm.nfree--
 	pm.refcnt[f] = 1
-	// Zero the frame (demand-zero semantics).
+	// Zero the frame (demand-zero semantics). Going through FrameBytes
+	// also materializes its chunk, so copy paths that must not allocate
+	// never take the first touch of an allocated frame.
 	b := pm.FrameBytes(f)
 	for i := range b {
 		b[i] = 0
@@ -237,11 +247,18 @@ func (pm *PhysMem) checkFrame(f Frame) {
 	}
 }
 
-// FrameBytes returns the backing bytes of one frame.
+// FrameBytes returns the backing bytes of one frame, capped at
+// PageSize. The first call into a chunk allocates it; a fresh chunk is
+// zero, which is what untouched RAM reads as.
 func (pm *PhysMem) FrameBytes(f Frame) []byte {
 	pm.checkFrame(f)
-	off := int64(f) << PageShift
-	return pm.data[off : off+PageSize : off+PageSize]
+	c := &pm.chunks[int(f)/chunkFrames]
+	if *c == nil {
+		base := int(f) - int(f)%chunkFrames
+		*c = make([]byte, min(pm.nframes-base, chunkFrames)<<PageShift)
+	}
+	off := (int(f) % chunkFrames) << PageShift
+	return (*c)[off : off+PageSize : off+PageSize]
 }
 
 // Contiguous reports whether b immediately follows a in physical

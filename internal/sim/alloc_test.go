@@ -31,7 +31,8 @@ func TestScheduleRunAllocFree(t *testing.T) {
 // TestProcWaitAllocFree pins the process handoff at zero allocations:
 // a warm sleep/wake cycle of Proc.Wait, a Signal.Wait woken by
 // Broadcast, and a Signal.WaitTimeout each switch into a process and
-// back without touching the heap.
+// back without touching the heap. Two sleepers waking at the same
+// instant keep Proc.Wait on the switching path every cycle.
 func TestProcWaitAllocFree(t *testing.T) {
 	// Each case's cycle advances the clock by period, which covers
 	// every kind of wake the case exercises once.
@@ -46,6 +47,15 @@ func TestProcWaitAllocFree(t *testing.T) {
 					p.Wait(1)
 				}
 			})
+		}},
+		{"Proc.Wait-two-sleepers", 1, func(e *Env, stop *bool) {
+			for _, name := range []string{"a", "b"} {
+				e.Go(name, func(p *Proc) {
+					for !*stop {
+						p.Wait(1)
+					}
+				})
+			}
 		}},
 		{"Signal.Wait+Broadcast", 1, func(e *Env, stop *bool) {
 			s := NewSignal("s")

@@ -179,28 +179,27 @@ func (s *ShardSet) Run(until Time) error {
 			s.mergeRecorders()
 			return nil
 		}
-		w := gmin + s.lookahead
-		if w < gmin { // overflow
-			w = Infinity
+		// The window is [gmin, gmin+lookahead), cut off after until.
+		last := gmin + (s.lookahead - tick)
+		if last < gmin { // overflow
+			last = Infinity
 		}
-		//copiervet:ignore cycles-literal window clamp on the virtual clock (run events at <= until), not a modeled cost
-		if until < Infinity && w > until+1 {
-			//copiervet:ignore cycles-literal same clamp, assignment side
-			w = until + 1
+		if last > until {
+			last = until
 		}
-		s.runWindows(w)
+		s.runWindows(last)
 		s.windows++
 	}
 }
 
-// runWindows executes [.., w) on every shard: serially in shard order
-// for one worker, otherwise statically partitioned round-robin across
-// workers. The partition does not affect output — shards share no
-// state inside a window.
-func (s *ShardSet) runWindows(w Time) {
+// runWindows executes every shard's events at or before last:
+// serially in shard order for one worker, otherwise statically
+// partitioned round-robin across workers. The partition does not
+// affect output — shards share no state inside a window.
+func (s *ShardSet) runWindows(last Time) {
 	if s.workers == 1 || len(s.shards) == 1 {
 		for _, e := range s.shards {
-			e.runWindow(w)
+			e.runWindow(last)
 		}
 		return
 	}
@@ -210,7 +209,7 @@ func (s *ShardSet) runWindows(w Time) {
 		go func(j int) {
 			defer wg.Done()
 			for k := j; k < len(s.shards); k += s.workers {
-				s.shards[k].runWindow(w)
+				s.shards[k].runWindow(last)
 			}
 		}(j)
 	}
@@ -301,18 +300,21 @@ func (s *ShardSet) mergeRecorders() {
 	}
 }
 
-// runWindow executes this environment's events strictly before w.
+// runWindow executes this environment's events at or before last.
 // Unlike Run it neither reports deadlock (the shard may be waiting on
-// a cross-shard event) nor advances the clock to w: the clock rests on
-// the last executed event so cross-shard sends stamp real emission
-// times.
-func (e *Env) runWindow(w Time) {
+// a cross-shard event) nor advances the clock to last: the clock rests
+// on the last executed event (or finished Wait) so cross-shard sends
+// stamp real emission times. Cross-shard events arrive after last, so
+// nothing can land in front of a Wait that takes the switch-free path
+// inside the window.
+func (e *Env) runWindow(last Time) {
 	if e.running {
 		panic("sim: runWindow reentered")
 	}
 	e.running = true
 	defer func() { e.running = false }()
-	for !e.events.empty() && e.events.peekAt() < w {
+	e.limit = last
+	for !e.events.empty() && e.events.peekAt() <= last {
 		at, fn, canceled := e.events.pop()
 		if canceled {
 			continue

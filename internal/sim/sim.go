@@ -15,7 +15,9 @@
 //     index heap with slot recycling — see eventq.go; the steady-state
 //     schedule/pop cycle does not allocate).
 //   - Proc is a coroutine; it advances time with Wait, or blocks on a
-//     Signal/Queue until another process wakes it.
+//     Signal/Queue until another process wakes it. A Wait whose wake
+//     would be the loop's very next event just moves the clock, with
+//     no switch: nothing else can run in between, so no one can tell.
 //   - Events scheduled for the same instant fire in scheduling order
 //     (a monotone sequence number breaks ties), never concurrently.
 package sim
@@ -33,6 +35,10 @@ type Time int64
 
 // Infinity is a time later than any event the simulator will produce.
 const Infinity Time = 1<<63 - 1
+
+// tick is the clock's resolution, one cycle: the instant after t is
+// t+tick.
+const tick Time = 1
 
 // EventHandle allows a scheduled event to be canceled before it fires.
 // Handles identify events by sequence number, so a handle outliving
@@ -59,6 +65,7 @@ func (h EventHandle) Cancel() {
 // interaction happens from process bodies or between Run calls.
 type Env struct {
 	now     Time
+	limit   Time // last instant the running loop pops at: Run's until, a window's last cycle
 	events  eventQueue
 	seq     uint64
 	procs   []*Proc // all spawned, for deadlock diagnosis
@@ -214,8 +221,16 @@ func (p *Proc) Wait(d Time) {
 	if d < 0 {
 		badDelay(p.name, d)
 	}
-	// d == 0 still yields so same-instant events interleave fairly.
-	p.env.Schedule(d, p.handoffFn)
+	// Events pop in (at, seq) order and the wake would take the largest
+	// seq: if nothing queued is due by now+d and the running loop
+	// reaches now+d, the wake is its next pop, so skip the switch and
+	// just move the clock. An event due at now+d wins the tie.
+	e := p.env
+	if d <= e.limit-e.now && (e.events.empty() || e.events.peekAt() > e.now+d) {
+		e.now += d
+		return
+	}
+	e.Schedule(d, p.handoffFn)
 	p.yield()
 }
 
@@ -413,8 +428,9 @@ func (d *DeadlockError) Error() string {
 }
 
 // Run executes events until the heap is empty or the clock passes
-// until (use Infinity for "run to completion"). It returns a
-// *DeadlockError if the heap drained while processes remain blocked.
+// until (use Infinity for "run to completion"); stopping on until
+// moves the clock up to it, never back. It returns a *DeadlockError if
+// the heap drained while processes remain blocked.
 //
 // A panic in a process body propagates out of Run on the caller's
 // goroutine, where the caller may recover it; a runtime.Goexit in a
@@ -425,9 +441,12 @@ func (e *Env) Run(until Time) error {
 	}
 	e.running = true
 	defer func() { e.running = false }()
+	e.limit = until
 	for !e.events.empty() {
 		if e.events.peekAt() > until {
-			e.now = until
+			if e.now < until {
+				e.now = until
+			}
 			return nil
 		}
 		at, fn, canceled := e.events.pop()

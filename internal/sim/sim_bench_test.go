@@ -69,6 +69,25 @@ func BenchmarkProcPingPong(b *testing.B) {
 	}
 }
 
+// BenchmarkProcWaitSolo is one process sleeping alone: each wake is
+// the loop's next event, so Wait takes its switch-free path.
+// BenchmarkProcPingPong is the control, where the two procs' wakes tie
+// and every Wait still switches.
+func BenchmarkProcWaitSolo(b *testing.B) {
+	e := NewEnv()
+	n := b.N
+	e.Go("p", func(p *Proc) {
+		for i := 0; i < n; i++ {
+			p.Wait(1)
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := e.Run(Infinity); err != nil {
+		b.Fatal(err)
+	}
+}
+
 // BenchmarkSignalBroadcast measures the Signal wait/broadcast
 // round-trip used by csync waiters.
 func BenchmarkSignalBroadcast(b *testing.B) {

@@ -56,10 +56,15 @@ echo "== benchmark module =="
 # wedge service threads or leak pins); internal/bench for the fleet
 # smoke (per-core shard rings + per-node engines under load);
 # internal/sim for the parallel event loop (cross-shard handoff
-# stress across worker threads).
+# stress across worker threads). -short skips TestGoldens, so the
+# fleetpar golden runs again under -race: its 4-worker rerun is the
+# one run of ShardSet windows over real service procs on worker
+# threads, where Proc.Wait's switch-free path reads the shard's
+# window bound.
 echo "== go test -race (concurrency-bearing packages) =="
 go test -race ./internal/acopy ./internal/core ./internal/kernel ./internal/sim
 go test -race -short ./internal/bench
+go test -race -run 'TestGoldens/^fleetpar$' ./internal/bench
 
 # Parallel-loop identity smoke: the sharded fleet must print the bytes
 # of its checked-in golden (tables, obs summary, trace digest) at 1 and
