@@ -16,6 +16,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 
@@ -34,8 +35,20 @@ func main() {
 	summary := flag.Bool("summary", false, "print histogram and occupancy summary after the timeline")
 	flag.Parse()
 
+	if err := run(os.Stdout, *traceOut, *summary); err != nil {
+		fmt.Fprintln(os.Stderr, "copiertrace:", err)
+		os.Exit(1)
+	}
+}
+
+// run simulates the proxy scenario and writes its timeline and stats
+// line to w, then the summary when summary is set. A non-empty
+// traceOut also receives the Perfetto export. The output is
+// deterministic (virtual time only) and pinned by a golden test.
+func run(w io.Writer, traceOut string, summary bool) error {
 	rec := obs.NewRecorder(obs.DefaultRingCap)
 	sim.OnNewEnv = func(e *sim.Env) { e.SetRecorder(rec) }
+	defer func() { sim.OnNewEnv = nil }()
 
 	m := kernel.NewMachine(kernel.Config{Cores: 3})
 	m.InstallCopier(core.DefaultConfig(), 1, 2)
@@ -84,46 +97,47 @@ func main() {
 		panic(err)
 	}
 
-	printTimeline(rec)
+	printTimeline(w, rec)
 
 	svc := m.Copier()
-	fmt.Printf("\nstats: tasks=%d absorbed=%dB aborted=%d avx=%dB dma=%dB\n",
+	fmt.Fprintf(w, "\nstats: tasks=%d absorbed=%dB aborted=%d avx=%dB dma=%dB\n",
 		svc.Stats.TasksExecuted, svc.Stats.AbsorbedBytes, svc.Stats.AbortedTasks,
 		svc.Stats.AVXBytes, svc.Stats.DMABytes)
 
-	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
+	if traceOut != "" {
+		f, err := os.Create(traceOut)
 		if err != nil {
-			panic(err)
+			return err
 		}
 		err = rec.WritePerfetto(f)
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}
 		if err != nil {
-			panic(err)
+			return fmt.Errorf("write trace: %w", err)
 		}
-		fmt.Printf("wrote %d events to %s\n", rec.Total(), *traceOut)
+		fmt.Fprintf(w, "wrote %d events to %s\n", rec.Total(), traceOut)
 	}
-	if *summary {
-		fmt.Println()
-		rec.WriteSummary(os.Stdout)
+	if summary {
+		fmt.Fprintln(w)
+		return rec.WriteSummary(w)
 	}
+	return nil
 }
 
 // printTimeline prints the recorded events in virtual-time order, one
 // row per event, keyed by track. Span events (thread runs, unit busy
 // intervals, syscalls) sort by their start time; ties keep emission
 // order, which is deterministic.
-func printTimeline(rec *obs.Recorder) {
+func printTimeline(w io.Writer, rec *obs.Recorder) {
 	var evs []obs.Event
 	rec.Events(func(e *obs.Event) { evs = append(evs, *e) })
 	sort.SliceStable(evs, func(i, j int) bool { return evs[i].T < evs[j].T })
-	fmt.Printf("%12s  %-15s %s\n", "cycles", "track", "event")
-	fmt.Printf("%12s  %-15s %s\n", "------", "-----", "-----")
+	fmt.Fprintf(w, "%12s  %-15s %s\n", "cycles", "track", "event")
+	fmt.Fprintf(w, "%12s  %-15s %s\n", "------", "-----", "-----")
 	for i := range evs {
 		e := &evs[i]
-		fmt.Printf("%12d  %-15s %s\n", e.T, e.Track, describe(e))
+		fmt.Fprintf(w, "%12d  %-15s %s\n", e.T, e.Track, describe(e))
 	}
 }
 

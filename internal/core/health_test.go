@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"copier/internal/cycles"
 	"copier/internal/fault"
+	"copier/internal/hw"
 	"copier/internal/mem"
 	"copier/internal/obs"
 	"copier/internal/sim"
@@ -354,4 +356,107 @@ func runShedCell(jc *sim.JobCtx) error {
 		return fmt.Errorf("backlog drift: %d", got)
 	}
 	return nil
+}
+
+// TestRetryBudgetTokenBucket pins the global retry budget's arithmetic:
+// a 256-token bucket that earns one token back per 5 µs of virtual
+// time, carries the fractional remainder between draws, never exceeds
+// its capacity, and earns nothing while full.
+func TestRetryBudgetTokenBucket(t *testing.T) {
+	const budget = 256
+	const refill = 5 * cycles.CyclesPerMicrosecond
+	s := NewService(sim.NewEnv(), mem.NewPhysMem(1<<20), DefaultConfig())
+	if s.retryTokens != budget {
+		t.Fatalf("fresh bucket holds %d tokens, want %d", s.retryTokens, budget)
+	}
+	take := func(now sim.Time, want bool) {
+		t.Helper()
+		if got := s.takeRetryToken(now); got != want {
+			t.Fatalf("takeRetryToken(%d) = %v, want %v (tokens=%d)", now, got, want, s.retryTokens)
+		}
+	}
+	drain := func(now sim.Time, n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			take(now, true)
+		}
+		take(now, false)
+		if s.retryTokens != 0 {
+			t.Fatalf("drained bucket holds %d tokens", s.retryTokens)
+		}
+	}
+
+	// 256 grants at one instant, then the 257th is denied. The bucket
+	// sat full from time 0 to t0, which earns no credit: the first
+	// token returns a full 5 µs after t0, not before.
+	t0 := sim.Time(1000 * refill)
+	drain(t0, budget)
+	take(t0+refill-1, false)
+	take(t0+refill, true)
+	take(t0+refill, false)
+
+	// The remainder of a period carries over: a grant 1.5 periods
+	// after the last refill leaves half a period toward the next.
+	take(t0+2*refill+refill/2, true)
+	take(t0+2*refill+refill/2, false)
+	take(t0+3*refill, true)
+	take(t0+3*refill, false)
+
+	// A long idle refills to 256 and no further.
+	t1 := t0 + 1000*refill
+	take(t1, true)
+	if s.retryTokens != budget-1 {
+		t.Fatalf("after a long idle the bucket holds %d tokens, want %d", s.retryTokens, budget-1)
+	}
+	drain(t1, budget-1)
+	take(t1+refill, true)
+}
+
+// TestRetryBudgetDeniesFailureStorm drives the budget dry through the
+// service: every copy attempt on every engine fails, so the retries of
+// 300 queued tasks outrun the refill and the budget turns later
+// failures into definite errors instead of retrying them.
+func TestRetryBudgetDeniesFailureStorm(t *testing.T) {
+	h := newHarness(t, DefaultConfig())
+	h.svc.SetFaultInjector(fault.New(3).
+		SetRates(fault.SiteDMA, fault.Rates{FailPpm: 1_000_000}).
+		SetRates(fault.SiteCPU, fault.Rates{FailPpm: 1_000_000}))
+	const n = 4 << 10
+	var all []*Task
+	for i := 0; i < 300; i++ {
+		src := h.alloc(t, h.uas, n, byte(i))
+		dst := h.alloc(t, h.uas, n, 0)
+		task := &Task{Src: src, Dst: dst, SrcAS: h.uas, DstAS: h.uas, Len: n}
+		if !h.c.SubmitCopy(task, false) {
+			t.Fatal("submit failed")
+		}
+		all = append(all, task)
+	}
+	h.start()
+	h.run(t, 1_000_000_000)
+
+	if h.svc.Stats.RetriedChunks < 256 {
+		t.Fatalf("RetriedChunks = %d: denied before the 256-token bucket was spent", h.svc.Stats.RetriedChunks)
+	}
+	denied := int64(0)
+	for i, task := range all {
+		if !task.Executed() {
+			t.Fatalf("task %d never finalized", i)
+		}
+		if !errors.Is(task.Err(), hw.ErrEngine) {
+			t.Fatalf("task %d: err = %v, want the engine failure", i, task.Err())
+		}
+		if strings.Contains(task.Err().Error(), "retry denied by budget") {
+			denied++
+		}
+	}
+	if denied == 0 || denied > h.svc.Stats.RetryDenied {
+		t.Fatalf("%d tasks failed by the budget, RetryDenied = %d", denied, h.svc.Stats.RetryDenied)
+	}
+	if h.svc.Stats.FailedTasks != int64(len(all)) {
+		t.Fatalf("FailedTasks = %d, want %d", h.svc.Stats.FailedTasks, len(all))
+	}
+	if r := h.uas.AuditLeaks(); !r.Clean() {
+		t.Fatalf("leaked pins: %+v", r)
+	}
 }
