@@ -81,7 +81,6 @@ type IOUring struct {
 	// paths (Fig. 10's Copier+batch series).
 	UseCopier bool
 
-	kthread *kernel.Thread
 	stopped bool
 }
 
@@ -106,7 +105,7 @@ func NewIOUring(m *kernel.Machine, useCopier bool) *IOUring {
 		done:      sim.NewSignal("iouring-done"),
 		UseCopier: useCopier,
 	}
-	u.kthread = m.Spawn(nil, "iou-sqpoll", func(t *kernel.Thread) {
+	m.Spawn(nil, "iou-sqpoll", func(t *kernel.Thread) {
 		for !u.stopped {
 			if len(u.sq) == 0 {
 				t.Block(u.work)
@@ -127,9 +126,6 @@ func (u *IOUring) Stop() {
 	u.stopped = true
 	u.work.Broadcast(u.m.Env)
 }
-
-// KThread exposes the SQPOLL thread (for RunApps bookkeeping).
-func (u *IOUring) KThread() *kernel.Thread { return u.kthread }
 
 func (u *IOUring) exec(t *kernel.Thread, sqe *SQE) {
 	// The kthread performs the op in kernel context: no trap/return,

@@ -91,10 +91,10 @@ type ChaosFleetResult struct {
 	// dropped their pins, so any nonzero value is a bug.
 	LeakedPins int
 	// Service-side resilience counters (see core.Stats).
-	EngineDeaths, Resteered, RetryDenied int64
-	Quarantines, ProbeRecoveries         int64
-	OverloadShedN, BrownoutShedN         int64
-	BrownoutEntries                      int64
+	EngineDeaths, Resteered      int64
+	Quarantines, ProbeRecoveries int64
+	OverloadShedN, BrownoutShedN int64
+	BrownoutEntries              int64
 }
 
 // compressWindow rescales the inter-arrival gaps of arr[from:to] by
@@ -351,7 +351,6 @@ func chaosFleetRun(env *sim.Env, cc chaosFleetConfig) *ChaosFleetResult {
 	}
 	res.EngineDeaths = svc.Stats.EngineDeaths
 	res.Resteered = svc.Stats.ResteeredChunks
-	res.RetryDenied = svc.Stats.RetryDenied
 	res.Quarantines = svc.Stats.Quarantines
 	res.ProbeRecoveries = svc.Stats.ProbeRecoveries
 	res.OverloadShedN = svc.Stats.OverloadShed

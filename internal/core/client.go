@@ -131,12 +131,6 @@ func popCost(n int) sim.Time {
 	return sim.Time(cycles.TaskPop + (n-1)*cycles.TaskPopBatch)
 }
 
-// PendingTasks returns the number of admitted, unexecuted copy tasks.
-func (c *Client) PendingTasks() int { return len(c.pending) }
-
-// BacklogBytes returns admitted-but-unexecuted copy bytes.
-func (c *Client) BacklogBytes() int64 { return c.backlogBytes }
-
 // SubmitCopy enqueues a Copy Task on the client's user or kernel Copy
 // Queue. The caller charges submission cycles (libcopier does this).
 // Returns false if the ring is full.
@@ -149,7 +143,7 @@ func (c *Client) SubmitCopy(t *Task, kmode bool) bool {
 		t.ID = c.svc.nextTaskID
 	}
 	if t.SegSize <= 0 {
-		t.SegSize = c.svc.cfg.SegSize
+		t.SegSize = DefaultSegSize
 	}
 	if t.Desc == nil {
 		t.Desc = NewDescriptor(t.Dst, t.Len, t.SegSize)
@@ -363,12 +357,6 @@ func (c *Client) admitUserUpTo(ctx Ctx, pos uint64) {
 func (c *Client) admitTask(t *Task, svc *Service) {
 	if t.Kind == KindCopy && svc.rejectAdmission(c, t) {
 		return
-	}
-	if svc.env.Tracer() != nil {
-		// Guarded at the call site: the variadic args would otherwise
-		// box onto the heap before trace's own nil check runs.
-		svc.trace("admit %s task %d: %#x <- %#x (%d bytes, kmode=%v, lazy=%v)",
-			c.Name, t.ID, uint64(t.Dst), uint64(t.Src), t.Len, t.KMode, t.Lazy)
 	}
 	t.orderIdx = c.nextOrder
 	c.nextOrder++

@@ -321,11 +321,8 @@ func (s *Service) noteFailure(t *Task, err error) {
 	if shift > 6 {
 		shift = 6
 	}
-	t.retryAt = s.now() + s.cfg.RetryBackoff<<shift
+	t.retryAt = s.now() + retryBackoff<<shift
 	s.Stats.RetriedChunks++
-	if s.env.Tracer() != nil {
-		s.trace("retry %s task %d (attempt %d, backoff to %d)", t.Client.Name, t.ID, t.retries, t.retryAt)
-	}
 	if rec := s.env.Recorder(); rec != nil {
 		rec.Emit(obs.Event{T: int64(s.now()), Kind: obs.EvTaskRetry, Layer: obs.LayerCore,
 			Track: "core:tasks", Name: t.Client.Name, A: int64(t.ID), B: int64(t.retries)})
@@ -451,10 +448,6 @@ func (s *Service) prepareRun(ctx Ctx, c *Client, t *Task, lo, hi units.Bytes, ch
 		})
 		if p.absorbed {
 			s.Stats.AbsorbedBytes += int64(n)
-			if s.env.Tracer() != nil {
-				s.trace("absorb %d bytes of %s task %d (read-through to %#x)",
-					n, t.Client.Name, t.ID, uint64(p.va)+uint64(pOff))
-			}
 		}
 		dstOff += n
 		pOff += n
@@ -599,7 +592,6 @@ func (s *Service) faultAndPin(ctx Ctx, as *mem.AddrSpace, va mem.VA, n units.Byt
 		case mem.FaultNone:
 		case mem.FaultBadAddress, mem.FaultPermission:
 			_, _, err := as.HandleFault(pva, write)
-			s.Stats.DroppedTasks++
 			if pinning {
 				s.rollbackPins(as, start, pva)
 			}
@@ -734,7 +726,7 @@ func (s *Service) dispatch(ctx Ctx, c *Client, all []chunk) {
 		dmaSet[i] = false
 	}
 	ndma := 0
-	useDMA := s.cfg.EnableDMA && total >= s.cfg.PiggybackThreshold
+	useDMA := s.cfg.EnableDMA && total >= piggybackThreshold
 	if useDMA && s.now() < s.dmaAvoidUntil {
 		// Graceful degradation: a recent DMA engine fault opened the
 		// cooldown window, so DMA-eligible work runs on the CPU
@@ -755,7 +747,7 @@ func (s *Service) dispatch(ctx Ctx, c *Client, all []chunk) {
 		avxBytes := total
 		for i := len(all) - 1; i >= 0; i-- {
 			ch := all[i]
-			if !ch.dmaEligible(s.cfg.DMACandidateMin) {
+			if !ch.dmaEligible(dmaCandidateMin) {
 				continue
 			}
 			ndmaBytes := dmaBytes + ch.length
@@ -833,7 +825,7 @@ func (s *Service) dispatch(ctx Ctx, c *Client, all []chunk) {
 			}
 			ctx.Exec(cost)
 			hw.CopyRange(s.pm, subRange(ch.dst, off, piece), subRange(ch.src, off, piece))
-			s.avxBytes(piece)
+			s.Stats.AVXBytes += int64(piece)
 			s.account(ch.task.Client, piece)
 			if rec := s.env.Recorder(); rec != nil {
 				rec.Emit(obs.Event{T: int64(s.now()), Kind: obs.EvSegmentDone, Layer: obs.LayerCore,
@@ -1081,13 +1073,6 @@ func (s *Service) account(c *Client, n units.Bytes) {
 	}
 }
 
-func (s *Service) avxBytes(n units.Bytes) {
-	s.Stats.AVXBytes += int64(n)
-	if s.cache != nil {
-		s.cache.Stream(int64(n))
-	}
-}
-
 // markChunk sets the descriptor bits covered by a completed chunk.
 //
 //copier:noalloc
@@ -1112,9 +1097,6 @@ func (s *Service) finishTask(ctx Ctx, c *Client, t *Task) {
 	// (ctx.Exec): a csync_all caller observing executed==true must
 	// also find the FUNC already delegated.
 	t.executed = true
-	if s.env.Tracer() != nil {
-		s.trace("finish %s task %d (%d bytes)", c.Name, t.ID, t.Len)
-	}
 	if rec := s.env.Recorder(); rec != nil {
 		now := int64(s.now())
 		rec.Emit(obs.Event{T: now, Kind: obs.EvTaskComplete, Layer: obs.LayerCore,
@@ -1129,11 +1111,9 @@ func (s *Service) finishTask(ctx Ctx, c *Client, t *Task) {
 			if h.Fn != nil {
 				h.Fn()
 			}
-			s.Stats.KFuncsRun++
 			deferredCost += cycles.HandlerDispatch + h.Cost
 		} else {
 			c.U.handlers = append(c.U.handlers, h)
-			s.Stats.UFuncsQueued++
 		}
 	}
 	c.Progress.Broadcast(ctx.Env())
@@ -1158,9 +1138,6 @@ func (s *Service) failTask(ctx Ctx, c *Client, t *Task, err error) {
 	c.backlogBytes -= int64(t.Len)
 	s.backlogBytes -= int64(t.Len)
 	s.Stats.FailedTasks++
-	if s.env.Tracer() != nil {
-		s.trace("fail %s task %d: %v", c.Name, t.ID, err)
-	}
 	if rec := s.env.Recorder(); rec != nil {
 		rec.Emit(obs.Event{T: int64(s.now()), Kind: obs.EvTaskFailed, Layer: obs.LayerCore,
 			Track: "core:tasks", Name: c.Name, A: int64(t.ID), B: int64(t.retries)})

@@ -112,9 +112,6 @@ func (s *Service) noteEngineOutcome(e int, failed, perm bool, now sim.Time) {
 		return
 	}
 	if perm {
-		if h.state == EngineQuarantined {
-			s.Stats.QuarantineCycles += int64(now - h.quarantinedAt)
-		}
 		h.state = EngineDead
 		h.probeInflight = false
 		s.Stats.EngineDeaths++
@@ -125,10 +122,8 @@ func (s *Service) noteEngineOutcome(e int, failed, perm bool, now sim.Time) {
 		if failed {
 			h.quarantinedAt = now
 			h.probeInflight = false
-			s.Stats.ProbeFailures++
 			return
 		}
-		s.Stats.QuarantineCycles += int64(now - h.quarantinedAt)
 		s.Stats.ProbeRecoveries++
 		h.state = EngineHealthy
 		h.window, h.wn = 0, 0
@@ -200,16 +195,6 @@ func (s *Service) markProbe(e int) { s.health[e].probeInflight = true }
 // EngineHealth reports engine e's current health state.
 func (s *Service) EngineHealth(e int) EngineState { return s.health[e].state }
 
-// KillEngine administratively kills node e's DMA engine — the
-// permanent-failure path without the fault injector: the hardware
-// moves no further bytes (queued descriptors complete with
-// hw.ErrEngineDead and are re-steered) and the health machine marks
-// the engine Dead immediately.
-func (s *Service) KillEngine(e int) {
-	s.dmas[e].Kill()
-	s.noteEngineOutcome(e, true, true, s.now())
-}
-
 // Shed reason codes (EvTaskShed.B).
 const (
 	shedOverload    = 1
@@ -226,20 +211,14 @@ const (
 //
 //copier:noalloc
 func (s *Service) takeRetryToken(now sim.Time) bool {
-	if s.cfg.RetryBudget <= 0 {
-		return true
-	}
-	if s.retryTokens >= s.cfg.RetryBudget {
+	if s.retryTokens >= retryBudget {
 		// Full bucket: idle time earns no credit beyond the cap.
 		s.retryRefillAt = now
-	} else if s.cfg.RetryRefill > 0 && now > s.retryRefillAt {
-		refilled := int((now - s.retryRefillAt) / s.cfg.RetryRefill)
+	} else if now > s.retryRefillAt {
+		refilled := int((now - s.retryRefillAt) / retryRefill)
 		if refilled > 0 {
-			s.retryTokens += refilled
-			if s.retryTokens > s.cfg.RetryBudget {
-				s.retryTokens = s.cfg.RetryBudget
-			}
-			s.retryRefillAt += sim.Time(refilled) * s.cfg.RetryRefill
+			s.retryTokens = min(s.retryTokens+refilled, retryBudget)
+			s.retryRefillAt += sim.Time(refilled) * retryRefill
 		}
 	}
 	if s.retryTokens <= 0 {
@@ -249,15 +228,9 @@ func (s *Service) takeRetryToken(now sim.Time) bool {
 	return true
 }
 
-// RetryTokens reports the retry budget's current token count.
-func (s *Service) RetryTokens() int { return s.retryTokens }
-
-// Brownout reports whether the brownout controller is active.
-func (s *Service) Brownout() bool { return s.brownout }
-
 // brownoutEval advances the brownout controller against the service
-// backlog. Entry: backlog above BrownoutHigh for a full BrownoutDwell.
-// Exit: backlog below BrownoutLow for a full BrownoutDwell. The dwell
+// backlog. Entry: backlog above BrownoutHigh for a full brownoutDwell.
+// Exit: backlog below BrownoutHigh/8 for a full brownoutDwell. The dwell
 // on both edges is the hysteresis that keeps one bursty arrival from
 // toggling the mode per sweep. Driven from serveOnce, so it advances
 // in deterministic virtual time.
@@ -272,9 +245,8 @@ func (s *Service) brownoutEval(now sim.Time) {
 			if s.pressureSince == 0 {
 				s.pressureSince = now
 			}
-			if now-s.pressureSince >= s.cfg.BrownoutDwell {
+			if now-s.pressureSince >= brownoutDwell {
 				s.brownout = true
-				s.brownoutAt = now
 				s.pressureSince = 0
 				s.Stats.BrownoutEntries++
 				if rec := s.env.Recorder(); rec != nil {
@@ -287,14 +259,13 @@ func (s *Service) brownoutEval(now sim.Time) {
 		}
 		return
 	}
-	if s.backlogBytes < s.cfg.BrownoutLow {
+	if s.backlogBytes < s.cfg.BrownoutHigh/8 {
 		if s.calmSince == 0 {
 			s.calmSince = now
 		}
-		if now-s.calmSince >= s.cfg.BrownoutDwell {
+		if now-s.calmSince >= brownoutDwell {
 			s.brownout = false
 			s.calmSince = 0
-			s.Stats.BrownoutCycles += int64(now - s.brownoutAt)
 			if rec := s.env.Recorder(); rec != nil {
 				rec.Emit(obs.Event{T: int64(now), Kind: obs.EvBrownout, Layer: obs.LayerCore,
 					Track: "core:brownout", Name: "exit", A: 0, B: s.backlogBytes})

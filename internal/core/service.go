@@ -33,38 +33,58 @@ const (
 	PollScenario
 )
 
+// Service policy values, fixed at the paper's settings.
+const (
+	// copySlice caps bytes served per scheduling decision (§4.5.3:
+	// "administrators can adjust Copier's copy slice").
+	copySlice units.Bytes = 256 << 10
+	// piggybackThreshold is the task size at/above which i-piggyback
+	// engages DMA (§4.3: ">=12KB").
+	piggybackThreshold units.Bytes = 12 << 10
+	// ePiggybackFuse is the max bytes of adjacent small tasks fused
+	// into one e-piggyback round.
+	ePiggybackFuse units.Bytes = 24 << 10
+	// dmaCandidateMin is the smallest subtask worth a DMA descriptor.
+	dmaCandidateMin units.Bytes = 2 << 10
+
+	// retryBackoff is the base re-dispatch delay after a transient
+	// engine failure; it doubles per retry (capped at 64x).
+	retryBackoff sim.Time = 20 * cycles.CyclesPerMicrosecond
+	// retryBudget is the capacity of the global retry token bucket:
+	// every granted transient retry consumes a token, and tokens
+	// refill at one per retryRefill of virtual time. When the bucket
+	// runs dry, further failures become definite errors instead of
+	// amplifying overload with a retry storm. Re-steers after a
+	// permanent engine death are exempt — denying those would turn
+	// hardware loss into task loss.
+	retryBudget = 256
+	// retryRefill is the virtual time to earn one retry token back.
+	retryRefill sim.Time = 5 * cycles.CyclesPerMicrosecond
+
+	// brownoutDwell is the brownout controller's hysteresis dwell on
+	// both edges (see Config.BrownoutHigh).
+	brownoutDwell sim.Time = 50 * cycles.CyclesPerMicrosecond
+
+	// napiBudget is empty poll sweeps before sleeping: ~100us of busy
+	// polling, like io_uring SQPOLL's sq_thread_idle (§4.5.1).
+	napiBudget = 5000
+	// sleepPeriod bounds a poll-mode sleep (the thread re-checks queues
+	// on wake).
+	sleepPeriod sim.Time = 100 * cycles.CyclesPerMicrosecond
+)
+
 // Config tunes the service. Zero values select defaults. The Enable*
 // switches exist for the paper's ablations (Fig. 12-c: async only vs
 // +hardware vs +absorption).
 type Config struct {
 	// QueueLen is the per-ring capacity.
 	QueueLen int
-	// SegSize is the default segment granularity.
-	SegSize units.Bytes
-	// CopySlice caps bytes served per scheduling decision (§4.5.3:
-	// "administrators can adjust Copier's copy slice").
-	CopySlice units.Bytes
-	// PiggybackThreshold is the task size at/above which i-piggyback
-	// engages DMA (§4.3: ">=12KB").
-	PiggybackThreshold units.Bytes
-	// EPiggybackFuse is the max bytes of adjacent small tasks fused
-	// into one e-piggyback round.
-	EPiggybackFuse units.Bytes
-	// DMACandidateMin is the smallest subtask worth a DMA descriptor.
-	DMACandidateMin units.Bytes
-	// LazyPeriod is how long a Lazy Task may linger before forced
-	// execution (§4.4).
-	LazyPeriod sim.Time
 
 	// MaxRetries bounds transient engine failures absorbed per task
 	// before the task completes with an error. Zero selects the
 	// default (8); NoRetries (or any negative value) disables retries
 	// entirely — the first transient failure is final.
 	MaxRetries int
-	// RetryBackoff is the base re-dispatch delay after a transient
-	// engine failure; it doubles per retry (capped at 64x). Zero
-	// selects the default; negative selects no backoff.
-	RetryBackoff sim.Time
 	// DMACooldown is how long after a DMA engine fault the dispatcher
 	// diverts DMA-eligible work to the CPU engines (graceful
 	// degradation). Zero selects the default; negative disables the
@@ -76,33 +96,19 @@ type Config struct {
 	// with ErrOverload instead of growing the queue without bound.
 	// Zero selects QueueLen; negative removes the bound.
 	MaxPending int
-	// RetryBudget is the capacity of the global retry token bucket:
-	// every granted transient retry consumes a token, and tokens
-	// refill at one per RetryRefill of virtual time. When the bucket
-	// runs dry, further failures become definite errors instead of
-	// amplifying overload with a retry storm. Zero selects the default
-	// (256); negative disables the budget. Re-steers after a permanent
-	// engine death are exempt — denying those would turn hardware loss
-	// into task loss.
-	RetryBudget int
-	// RetryRefill is the virtual time to earn one retry token back.
-	RetryRefill sim.Time
 	// QuarantineProbe is how long a quarantined engine sits out before
 	// the steering layer offers it one half-open probe chunk; a clean
 	// completion readmits the engine, a failure re-arms the clock.
 	QuarantineProbe sim.Time
 
-	// BrownoutHigh/BrownoutLow are service-backlog watermarks (bytes)
-	// for the brownout controller: backlog above High for a full
-	// BrownoutDwell enters brownout (double copy slices and fuse
-	// windows, local-node-only steering, lowest-priority admissions
-	// shed); backlog below Low for a full dwell exits it. Zero
-	// BrownoutHigh disables the controller (the default — brownout is
-	// an operator opt-in).
+	// BrownoutHigh is the service-backlog watermark (bytes) for the
+	// brownout controller: backlog above it for a full dwell (50 µs)
+	// enters brownout (double copy slices and fuse windows,
+	// local-node-only steering, lowest-priority admissions shed);
+	// backlog below BrownoutHigh/8 for a full dwell exits it. Zero
+	// disables the controller (the default — brownout is an operator
+	// opt-in).
 	BrownoutHigh int64
-	BrownoutLow  int64
-	// BrownoutDwell is the hysteresis dwell on both edges.
-	BrownoutDwell sim.Time
 	// BrownoutShedBelow, when positive, sheds new admissions from
 	// clients whose cgroup shares are strictly below it while brownout
 	// is active — lowest-priority clients are dropped first.
@@ -116,11 +122,6 @@ type Config struct {
 	UseERMSEngine bool
 
 	Mode PollMode
-	// NAPIBudget is empty poll sweeps before sleeping.
-	NAPIBudget int
-	// SleepPeriod bounds a NAPI sleep (the thread re-checks queues on
-	// wake).
-	SleepPeriod sim.Time
 
 	// Auto-scaling (§4.5.1): keep backlog between LowLoad and
 	// HighLoad bytes per active thread.
@@ -141,33 +142,10 @@ func (c Config) withDefaults() Config {
 	if c.QueueLen == 0 {
 		c.QueueLen = 4096
 	}
-	if c.SegSize == 0 {
-		c.SegSize = DefaultSegSize
-	}
-	if c.CopySlice == 0 {
-		c.CopySlice = 256 << 10
-	}
-	if c.PiggybackThreshold == 0 {
-		c.PiggybackThreshold = 12 << 10
-	}
-	if c.EPiggybackFuse == 0 {
-		c.EPiggybackFuse = 24 << 10
-	}
-	if c.DMACandidateMin == 0 {
-		c.DMACandidateMin = 2 << 10
-	}
-	if c.LazyPeriod == 0 {
-		c.LazyPeriod = 2 * cycles.CyclesPerMicrosecond * 1000 // 2ms
-	}
 	if c.MaxRetries == 0 {
 		c.MaxRetries = 8
 	} else if c.MaxRetries < 0 {
 		c.MaxRetries = 0 // NoRetries: first transient failure is final
-	}
-	if c.RetryBackoff == 0 {
-		c.RetryBackoff = 20 * cycles.CyclesPerMicrosecond
-	} else if c.RetryBackoff < 0 {
-		c.RetryBackoff = 0
 	}
 	if c.DMACooldown == 0 {
 		c.DMACooldown = 100 * cycles.CyclesPerMicrosecond
@@ -179,32 +157,8 @@ func (c Config) withDefaults() Config {
 	} else if c.MaxPending < 0 {
 		c.MaxPending = 0 // unbounded
 	}
-	if c.RetryBudget == 0 {
-		c.RetryBudget = 256
-	} else if c.RetryBudget < 0 {
-		c.RetryBudget = 0 // unbounded
-	}
-	if c.RetryRefill == 0 {
-		c.RetryRefill = 5 * cycles.CyclesPerMicrosecond
-	}
 	if c.QuarantineProbe == 0 {
 		c.QuarantineProbe = 200 * cycles.CyclesPerMicrosecond
-	}
-	if c.BrownoutHigh > 0 {
-		if c.BrownoutLow == 0 {
-			c.BrownoutLow = c.BrownoutHigh / 8
-		}
-		if c.BrownoutDwell == 0 {
-			c.BrownoutDwell = 50 * cycles.CyclesPerMicrosecond
-		}
-	}
-	if c.NAPIBudget == 0 {
-		// ~100us of busy polling before sleeping, like io_uring
-		// SQPOLL's sq_thread_idle.
-		c.NAPIBudget = 5000
-	}
-	if c.SleepPeriod == 0 {
-		c.SleepPeriod = 100 * cycles.CyclesPerMicrosecond
 	}
 	if c.MaxThreads == 0 {
 		c.MaxThreads = 1
@@ -221,8 +175,8 @@ func (c Config) withDefaults() Config {
 // NoRetries is the Config.MaxRetries sentinel for "retry nothing":
 // the zero value selects the default retry count, so disabling retries
 // needs an explicit negative. The same convention holds for the other
-// defaulted knobs — a negative RetryBackoff, DMACooldown, MaxPending
-// or RetryBudget selects zero/unbounded rather than the default.
+// defaulted knobs — a negative DMACooldown or MaxPending selects
+// zero/unbounded rather than the default.
 const NoRetries = -1
 
 // DefaultConfig returns the full-featured configuration used by the
@@ -235,19 +189,14 @@ func DefaultConfig() Config {
 type Stats struct {
 	TasksExecuted   int64
 	FailedTasks     int64
-	DroppedTasks    int64
 	AbortedTasks    int64
-	SyncsServed     int64
 	Promotions      int64
 	AVXBytes        int64
 	DMABytes        int64
 	AbsorbedBytes   int64
 	ProactiveFaults int64
-	KFuncsRun       int64
-	UFuncsQueued    int64
 	PollSweeps      int64
 	Sleeps          int64
-	Wakeups         int64
 	LazyExpired     int64
 
 	// Failure-recovery counters.
@@ -266,13 +215,11 @@ type Stats struct {
 	RemoteDMABytes int64 // bytes those spilled chunks moved
 
 	// Engine-health counters (the worst-day machinery).
-	EngineDeaths     int64 // engines that failed permanently
-	Degradations     int64 // Healthy -> Degraded transitions
-	Quarantines      int64 // Degraded -> Quarantined transitions
-	ProbeRecoveries  int64 // quarantined engines readmitted by a clean probe
-	ProbeFailures    int64 // probes that failed and re-armed the quarantine
-	QuarantineCycles int64 // total virtual time engines spent quarantined
-	ResteeredChunks  int64 // chunks re-dispatched after a permanent engine death
+	EngineDeaths    int64 // engines that failed permanently
+	Degradations    int64 // Healthy -> Degraded transitions
+	Quarantines     int64 // Degraded -> Quarantined transitions
+	ProbeRecoveries int64 // quarantined engines readmitted by a clean probe
+	ResteeredChunks int64 // chunks re-dispatched after a permanent engine death
 
 	// Admission control and shedding counters.
 	OverloadShed    int64 // admissions rejected at the MaxPending bound
@@ -280,7 +227,6 @@ type Stats struct {
 	BrownoutShed    int64 // low-priority admissions rejected during brownout
 	RetryDenied     int64 // transient retries denied by the retry budget
 	BrownoutEntries int64 // times the brownout controller engaged
-	BrownoutCycles  int64 // total virtual time spent in brownout
 }
 
 // Service is the Copier OS service instance.
@@ -332,7 +278,6 @@ type Service struct {
 	// Brownout controller state (see brownoutEval). pressureSince and
 	// calmSince are dwell anchors; zero means "no edge pending".
 	brownout      bool
-	brownoutAt    sim.Time
 	pressureSince sim.Time
 	calmSince     sim.Time
 	// availBuf/probeBuf are per-dispatch-round engine availability
@@ -354,10 +299,6 @@ type Service struct {
 	spawnThread func(slot int)
 	parkSig     *sim.Signal
 	parked      int
-
-	// cache, when set, observes service-side CPU copy traffic (CPI
-	// study).
-	cache *hw.Cache
 
 	// dmaBatchPool recycles dmaBatch carriers (and their pre-bound
 	// completion closures) between dispatch rounds. Safe without
@@ -401,7 +342,7 @@ func NewService(env *sim.Env, pm *mem.PhysMem, cfg Config) *Service {
 		s.dmas[i].SetNUMA(i, cfg.Topo)
 	}
 	s.health = make([]engineHealth, nn)
-	s.retryTokens = cfg.RetryBudget
+	s.retryTokens = retryBudget
 	s.availBuf = make([]bool, nn)
 	s.probeBuf = make([]bool, nn)
 	return s
@@ -410,9 +351,6 @@ func NewService(env *sim.Env, pm *mem.PhysMem, cfg Config) *Service {
 // numNodes returns how many NUMA nodes the service is sharded over
 // (1 on the flat machine).
 func (s *Service) numNodes() int { return len(s.dmas) }
-
-// Config returns the effective configuration.
-func (s *Service) Config() Config { return s.cfg }
 
 // ATCacheStats exposes the address-transfer cache for reporting.
 func (s *Service) ATCacheStats() *ATCache { return s.at }
@@ -423,9 +361,6 @@ func (s *Service) DMA() *hw.DMAChannel { return s.dmas[0] }
 
 // DMAs exposes all per-node DMA engines in node order.
 func (s *Service) DMAs() []*hw.DMAChannel { return s.dmas }
-
-// SetCache attaches a cache model observing service-side copies.
-func (s *Service) SetCache(c *hw.Cache) { s.cache = c }
 
 // SetFaultInjector attaches a deterministic fault injector to the
 // service and its DMA channel; nil detaches.
@@ -460,12 +395,9 @@ func (s *Service) ActiveThreads() int { return s.activeThreads }
 // Stop makes all service threads exit their loops.
 func (s *Service) Stop() {
 	s.stopped = true
-	if s.brownout {
-		// Close the brownout accounting so BrownoutCycles covers a
-		// run that ends mid-brownout.
-		s.Stats.BrownoutCycles += int64(s.now() - s.brownoutAt)
-		s.brownout = false
-	}
+	// A sweep still in flight finishes with normal copy slices and
+	// steering.
+	s.brownout = false
 	s.workSig.Broadcast(s.env)
 	s.activateSig.Broadcast(s.env)
 	s.parkSig.Broadcast(s.env)
@@ -482,15 +414,6 @@ func (s *Service) Activate() {
 func (s *Service) Deactivate() { s.scenarioActive = false }
 
 func (s *Service) now() sim.Time { return s.env.Now() }
-
-// trace emits a service event through the environment tracer, if one
-// is installed (sim.Env.SetTracer) — the timeline cmd/copiertrace
-// prints.
-func (s *Service) trace(format string, args ...any) {
-	if tr := s.env.Tracer(); tr != nil {
-		tr(s.env.Now(), "[copier] "+format, args...)
-	}
-}
 
 // Group returns (creating if needed) the cgroup account with the
 // given copier.shares (§4.5.2).
@@ -619,16 +542,12 @@ func (s *Service) teardownClient(ctx Ctx, c *Client) {
 			if h.Fn != nil {
 				h.Fn()
 			}
-			s.Stats.KFuncsRun++
 		}
 	}
 	c.pending = c.pending[:0]
 	c.U.handlers = nil
 	s.Stats.ClientTeardowns++
 	s.Stats.ReclaimedTasks += int64(reclaimed)
-	if s.env.Tracer() != nil {
-		s.trace("teardown %s: reclaimed %d tasks", c.Name, reclaimed)
-	}
 	if rec := s.env.Recorder(); rec != nil {
 		rec.Emit(obs.Event{T: int64(s.now()), Kind: obs.EvClientTeardown, Layer: obs.LayerCore,
 			Track: "core:clients", Name: c.Name, A: int64(c.ID), B: int64(reclaimed)})
@@ -704,9 +623,8 @@ func (s *Service) ThreadMain(ctx Ctx, slot int) {
 			if idle >= 32 {
 				s.sleeping++
 				s.Stats.Sleeps++
-				fired := ctx.BlockTimeout(s.workSig, s.cfg.SleepPeriod)
+				fired := ctx.BlockTimeout(s.workSig, sleepPeriod)
 				s.sleeping--
-				s.Stats.Wakeups++
 				if fired {
 					ctx.Exec(cycles.WakeThread)
 					idle = 0
@@ -716,14 +634,13 @@ func (s *Service) ThreadMain(ctx Ctx, slot int) {
 			}
 			continue
 		}
-		if s.cfg.Mode == PollNAPI && idle >= s.cfg.NAPIBudget {
+		if s.cfg.Mode == PollNAPI && idle >= napiBudget {
 			// Save SIMD state and sleep until a doorbell (§4.5.1).
 			ctx.Exec(cycles.XSave)
 			s.sleeping++
 			s.Stats.Sleeps++
-			fired := ctx.BlockTimeout(s.workSig, s.cfg.SleepPeriod)
+			fired := ctx.BlockTimeout(s.workSig, sleepPeriod)
 			s.sleeping--
-			s.Stats.Wakeups++
 			if fired {
 				// Doorbell wake (copier_awaken-style IPI).
 				ctx.Exec(cycles.WakeThread)
@@ -731,7 +648,7 @@ func (s *Service) ThreadMain(ctx Ctx, slot int) {
 			} else {
 				// Timeout wake: peek once, then go straight back to
 				// sleep if still idle.
-				idle = s.cfg.NAPIBudget
+				idle = napiBudget
 			}
 			ctx.Exec(cycles.XSave)
 		}
@@ -917,7 +834,7 @@ func (s *Service) serveOnce(ctx Ctx, slot int) bool {
 	if c == nil {
 		return worked || s.inflightDMA > 0
 	}
-	budget := s.cfg.CopySlice
+	budget := copySlice
 	if s.brownout {
 		// Brownout batches more aggressively: a doubled copy slice
 		// amortizes scheduling and submission costs while the service
@@ -975,7 +892,7 @@ func (t *Task) dispatchable(now sim.Time) bool {
 
 // serveClient executes pending tasks FIFO up to budget bytes, fusing
 // adjacent dependency-free tasks into piggyback rounds (§4.3). A
-// small head opens an e-piggyback round capped at EPiggybackFuse,
+// small head opens an e-piggyback round capped at ePiggybackFuse,
 // exactly as before; a large head opens a round spanning the rest of
 // the copy slice, so the DMA submission cost is amortized across
 // tasks in the drained batch rather than only within one task.
@@ -999,11 +916,11 @@ func (s *Service) serveClient(ctx Ctx, c *Client, budget units.Bytes) bool {
 		worked = true
 		// Round byte cap: e-piggyback fuse for a small head; the
 		// remaining slice for a large head (cross-task coalescing).
-		roundCap := s.cfg.EPiggybackFuse
+		roundCap := ePiggybackFuse
 		if s.brownout {
 			roundCap *= 2
 		}
-		if head.Len >= s.cfg.PiggybackThreshold {
+		if head.Len >= piggybackThreshold {
 			roundCap = head.Len
 			if budget > roundCap {
 				roundCap = budget
@@ -1118,19 +1035,8 @@ func (s *Service) serveSyncQueue(ctx Ctx, c *Client, kmode bool) bool {
 		c.admit(ctx, s)
 		switch st.Kind {
 		case KindSync:
-			s.Stats.SyncsServed++
-			if s.env.Tracer() != nil {
-				s.trace("sync %s [%#x,+%d): promote", c.Name, uint64(st.Addr), st.SyncLen)
-			}
 			s.promote(ctx, c, st.Addr, st.SyncLen)
 		case KindAbort:
-			if st.AbortDesc != nil {
-				if s.env.Tracer() != nil {
-					s.trace("abort %s desc [%#x,+%d)", c.Name, uint64(st.AbortDesc.Base), st.AbortDesc.Len)
-				}
-			} else if s.env.Tracer() != nil {
-				s.trace("abort %s [%#x,+%d)", c.Name, uint64(st.Addr), st.SyncLen)
-			}
 			s.abort(ctx, c, st)
 		default:
 			panic(fmt.Sprintf("core: %v task on sync queue", st.Kind))
@@ -1218,10 +1124,8 @@ func (s *Service) abort(ctx Ctx, c *Client, st *Task) {
 					if h.Fn != nil {
 						h.Fn()
 					}
-					s.Stats.KFuncsRun++
 				} else {
 					c.U.handlers = append(c.U.handlers, h)
-					s.Stats.UFuncsQueued++
 				}
 			}
 		}

@@ -78,7 +78,7 @@ func (c *Client) SubmitCopyOn(core int, t *Task) bool {
 		t.ID = c.svc.nextTaskID
 	}
 	if t.SegSize <= 0 {
-		t.SegSize = c.svc.cfg.SegSize
+		t.SegSize = DefaultSegSize
 	}
 	if !c.Shards.rings[core].Push(t) {
 		return false

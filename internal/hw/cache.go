@@ -35,9 +35,6 @@ func NewCache(totalSize, ways int) *Cache {
 	return c
 }
 
-// LineSize returns the cache line size in bytes.
-func (c *Cache) LineSize() int { return c.lineSize }
-
 // Touch accesses n bytes starting at addr, updating hit/miss counts.
 func (c *Cache) Touch(addr uint64, n units.Bytes) {
 	first := addr / uint64(c.lineSize)

@@ -117,9 +117,6 @@ type CPUEngine struct {
 	unit cycles.Unit
 	// BytesCopied accumulates for experiment accounting.
 	BytesCopied int64
-	// Cache, when non-nil, observes every byte moved (cache-pollution
-	// study §6.3.5).
-	Cache *Cache
 }
 
 // NewCPUEngine returns an engine using the given unit's cost model.
@@ -130,9 +127,6 @@ func NewCPUEngine(pm *mem.PhysMem, unit cycles.Unit) *CPUEngine {
 	}
 	return &CPUEngine{pm: pm, unit: unit}
 }
-
-// Unit reports the engine's cost model.
-func (e *CPUEngine) Unit() cycles.Unit { return e.unit }
 
 // track names the engine's timeline row in the observability layer.
 func (e *CPUEngine) track() string {
@@ -147,9 +141,6 @@ func (e *CPUEngine) track() string {
 func (e *CPUEngine) Copy(p *sim.Proc, dst, src []FrameRange) sim.Time {
 	n := CopyScatter(e.pm, dst, src)
 	e.BytesCopied += int64(n)
-	if e.Cache != nil {
-		e.Cache.Stream(int64(n))
-	}
 	cost := cycles.SyncCopyCost(e.unit, n)
 	if r := p.Env().Recorder(); r != nil {
 		r.Emit(obs.Event{T: int64(p.Now()), Dur: int64(cost), Kind: obs.EvUnitBusyInterval,
@@ -162,18 +153,6 @@ func (e *CPUEngine) Copy(p *sim.Proc, dst, src []FrameRange) sim.Time {
 // CopyCost reports what Copy would charge for n bytes without
 // performing it.
 func (e *CPUEngine) CopyCost(n units.Bytes) sim.Time { return cycles.SyncCopyCost(e.unit, n) }
-
-// Move performs the data movement of Copy without any time
-// accounting; callers that charge cycles through their own execution
-// context (the Copier service) use this and Exec the cost themselves.
-func (e *CPUEngine) Move(dst, src []FrameRange) units.Bytes {
-	n := CopyScatter(e.pm, dst, src)
-	e.BytesCopied += int64(n)
-	if e.Cache != nil {
-		e.Cache.Stream(int64(n))
-	}
-	return n
-}
 
 // DMARequest tracks one in-flight DMA descriptor.
 type DMARequest struct {
@@ -403,16 +382,6 @@ func (d *DMAChannel) SubmitBatch(p *sim.Proc, pairs [][2]FrameRange) []*DMAReque
 		out[i] = d.submitAt(pr[0], pr[1])
 	}
 	return out
-}
-
-// Enqueue adds one descriptor without charging any submission cost;
-// callers that account cycles through their own execution context
-// charge cycles.DMASubmit themselves.
-func (d *DMAChannel) Enqueue(dst, src FrameRange) *DMARequest {
-	if dst.Len != src.Len {
-		panic(fmt.Sprintf("hw: DMA length mismatch %d != %d", dst.Len, src.Len))
-	}
-	return d.submitAt(dst, src)
 }
 
 // dmaBatch carries one EnqueueBatch submission through its completion

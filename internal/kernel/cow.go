@@ -94,9 +94,6 @@ func (t *Thread) HandleCoWFault(as *mem.AddrSpace, va mem.VA, length units.Bytes
 		t.Exec(cowAllocCost(copied))
 		hw.CopyScatter(t.m.Phys, dst, src)
 		t.Exec(cycles.SyncCopyCost(cycles.UnitERMS, copied))
-		if t.m.AppCache != nil {
-			t.m.AppCache.Stream(int64(copied))
-		}
 		t.releaseOld(src)
 	}
 	t.Exec(cowFlushCost(length))
@@ -155,9 +152,6 @@ func (t *Thread) HandleCoWFaultCopier(as *mem.AddrSpace, va mem.VA, length units
 	if localBytes > 0 {
 		hw.CopyScatter(t.m.Phys, dstLocal, srcLocal)
 		t.Exec(cycles.SyncCopyCost(cycles.UnitERMS, localBytes))
-		if t.m.AppCache != nil {
-			t.m.AppCache.Stream(int64(localBytes))
-		}
 	}
 
 	// Sync before the new mapping is visible to other threads.

@@ -16,12 +16,14 @@ import (
 	"strconv"
 
 	"copier/internal/cycles"
-	"copier/internal/hw"
 	"copier/internal/mem"
 	"copier/internal/obs"
 	"copier/internal/sim"
 	"copier/internal/topo"
 )
+
+// quantum is the preemption quantum in cycles (~70us at 2.9GHz).
+const quantum sim.Time = 200_000
 
 // Machine is one simulated host: cores, physical memory, processes and
 // devices.
@@ -40,9 +42,6 @@ type Machine struct {
 	nextPID int
 	nextTID int
 
-	// Quantum is the preemption quantum in cycles.
-	Quantum sim.Time
-
 	// EnergyPerBusyCycle and EnergyPerIdleCycle weight the energy
 	// model used by the smartphone experiments (arbitrary units).
 	EnergyPerBusyCycle float64
@@ -52,11 +51,6 @@ type Machine struct {
 	// (KernelCopy, UserCopy, CoW breaks) — the numerator of the
 	// Fig. 2 copy-share analysis.
 	CopyCycles int64
-
-	// AppCache, when set, models the application cores' shared cache
-	// for the §6.3.5 CPI study: synchronous copies stream through it,
-	// Copier-offloaded copies do not.
-	AppCache *hw.Cache
 
 	// copier is the installed Copier integration, if any.
 	copier *copierState
@@ -75,7 +69,6 @@ type Machine struct {
 type Config struct {
 	Cores    int
 	MemBytes int64
-	Quantum  sim.Time
 	Topo     *topo.Topology
 	// Env, when set, hosts the machine on an existing simulation
 	// environment instead of a fresh sim.NewEnv. Pooled experiment
@@ -100,9 +93,6 @@ func NewMachine(cfg Config) *Machine {
 	if cfg.MemBytes <= 0 {
 		cfg.MemBytes = 256 << 20
 	}
-	if cfg.Quantum <= 0 {
-		cfg.Quantum = 200_000 // ~70us at 2.9GHz
-	}
 	env := cfg.Env
 	if env == nil {
 		env = sim.NewEnv()
@@ -110,7 +100,6 @@ func NewMachine(cfg Config) *Machine {
 	m := &Machine{
 		Env:                env,
 		Phys:               mem.NewPhysMem(cfg.MemBytes),
-		Quantum:            cfg.Quantum,
 		nextPID:            1,
 		nextTID:            1,
 		EnergyPerBusyCycle: 1.0,
@@ -229,11 +218,6 @@ func (m *Machine) DedicateCore(id int, t *Thread) {
 	c := m.cores[id]
 	c.reservedFor = t
 	t.affinity = id
-}
-
-// ReleaseCoreReservation removes a dedication.
-func (m *Machine) ReleaseCoreReservation(id int) {
-	m.cores[id].reservedFor = nil
 }
 
 // grant puts t on core c and wakes it.
@@ -478,10 +462,6 @@ func (t *Thread) Env() *sim.Env { return t.m.Env }
 // Now returns virtual time.
 func (t *Thread) Now() sim.Time { return t.proc.Now() }
 
-// SimProc exposes the underlying simulation process (used by device
-// models that need raw waits).
-func (t *Thread) SimProc() *sim.Proc { return t.proc }
-
 // SetNoPreempt marks the thread as never yielding on quantum expiry.
 func (t *Thread) SetNoPreempt(v bool) { t.noPreempt = v }
 
@@ -494,8 +474,8 @@ func (t *Thread) Exec(d sim.Time) {
 	t.acquireCore()
 	for d > 0 {
 		chunk := d
-		if !t.noPreempt && chunk > t.m.Quantum {
-			chunk = t.m.Quantum
+		if !t.noPreempt && chunk > quantum {
+			chunk = quantum
 		}
 		t.proc.Wait(chunk)
 		t.BusyCycles += int64(chunk)
@@ -544,17 +524,6 @@ func (t *Thread) Sleep(d sim.Time) {
 	t.proc.Wait(d)
 	t.acquireCore()
 }
-
-// Yield gives other runnable threads a chance to run.
-func (t *Thread) Yield() {
-	if len(t.m.runq) > 0 {
-		t.m.releaseCore(t)
-		t.acquireCore()
-	}
-}
-
-// RunqLen reports the number of threads waiting for a core.
-func (m *Machine) RunqLen() int { return len(m.runq) }
 
 // Energy reports total energy in model units across cores up to now.
 func (m *Machine) Energy() float64 {

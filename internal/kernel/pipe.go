@@ -49,9 +49,6 @@ func (p *Pipe) Close() {
 	p.space.Broadcast(p.m.Env)
 }
 
-// Buffered reports queued bytes.
-func (p *Pipe) Buffered() units.Bytes { return p.bytes }
-
 // Write is the baseline pipe write: copy user bytes into fresh kernel
 // pages.
 func (p *Pipe) Write(t *Thread, buf mem.VA, n units.Bytes) error {

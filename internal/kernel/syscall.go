@@ -6,7 +6,6 @@ import (
 	"copier/internal/libcopier"
 	"copier/internal/mem"
 	"copier/internal/obs"
-	"copier/internal/sim"
 	"copier/internal/units"
 )
 
@@ -132,9 +131,6 @@ func (t *Thread) KernelCopy(dstAS *mem.AddrSpace, dst mem.VA, srcAS *mem.AddrSpa
 	c := cycles.SyncCopyCost(cycles.UnitERMS, n)
 	t.Exec(c)
 	t.m.CopyCycles += int64(c)
-	if t.m.AppCache != nil {
-		t.m.AppCache.Stream(int64(n))
-	}
 	return nil
 }
 
@@ -181,17 +177,5 @@ func (t *Thread) UserCopy(dst, src mem.VA, n units.Bytes) error {
 	c := cycles.SyncCopyCost(cycles.UnitAVX, n)
 	t.Exec(c)
 	t.m.CopyCycles += int64(c)
-	if t.m.AppCache != nil {
-		t.m.AppCache.Stream(int64(n))
-	}
 	return nil
-}
-
-// UserComputeTouch charges compute cycles that walk over data through
-// the app cache model (CPI study, §6.3.5).
-func (t *Thread) UserComputeTouch(base uint64, n units.Bytes, d sim.Time) {
-	if t.m.AppCache != nil {
-		t.m.AppCache.Touch(base, n)
-	}
-	t.Exec(d)
 }

@@ -56,9 +56,6 @@ func New(client *core.Client) *Lib {
 	return &Lib{client: client, pool: make(map[int][]*core.Descriptor)}
 }
 
-// Client exposes the underlying Copier client.
-func (l *Lib) Client() *core.Client { return l.client }
-
 // Opts customizes low-level submissions (_amemcpy, Table 2).
 type Opts struct {
 	// KMode submits to the kernel-mode queue set (OS services only).
@@ -72,7 +69,7 @@ type Opts struct {
 	// Lazy marks a Lazy Copy Task (§4.4).
 	Lazy bool
 	// LazyDeadline bounds how long a lazy task may linger; zero uses
-	// the service default.
+	// defaultLazyPeriod (2 ms after submission).
 	LazyDeadline sim.Time
 	// SrcAS/DstAS override the address spaces (kernel services copy
 	// across spaces); nil defaults to the client's user space (or
@@ -151,6 +148,8 @@ func (l *Lib) pruneCompleted() {
 	l.active = out
 }
 
+// defaultLazyPeriod is how long a Lazy Task may linger before forced
+// execution (§4.4) when Opts.LazyDeadline is zero: 2 ms.
 const defaultLazyPeriod = 2 * cycles.CyclesPerMicrosecond * 1000
 
 // Amemmove is the overlap-safe asynchronous memmove: overlapping

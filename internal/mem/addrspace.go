@@ -141,9 +141,6 @@ func (as *AddrSpace) allocFrame() (Frame, error) {
 	return as.pm.AllocFrame()
 }
 
-// Phys returns the physical memory backing this address space.
-func (as *AddrSpace) Phys() *PhysMem { return as.pm }
-
 // OnMappingChange registers a callback invoked whenever the physical
 // mapping of a virtual page changes (unmap, CoW break, remap).
 func (as *AddrSpace) OnMappingChange(fn func(vpn uint64)) {
@@ -221,9 +218,6 @@ func (as *AddrSpace) FindVMA(a VA) *VMA {
 	}
 	return nil
 }
-
-// VMAs returns the address space's VMAs in address order.
-func (as *AddrSpace) VMAs() []*VMA { return as.vmas }
 
 // PTEOf returns the PTE of the page containing a, or nil if the page
 // was never populated.

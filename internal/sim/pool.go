@@ -21,9 +21,8 @@ import (
 // JobCtx is one pooled job's context: its index in the job list and
 // the recorder its environments feed.
 type JobCtx struct {
-	idx    int
-	rec    *obs.Recorder
-	tracer func(t Time, format string, args ...any)
+	idx int
+	rec *obs.Recorder
 }
 
 // Index returns the job's position in the RunJobs order.
@@ -35,10 +34,7 @@ func (jc *JobCtx) Index() int { return jc.idx }
 // attaches the shared ambient recorder, which is not safe to feed from
 // worker threads.
 func (jc *JobCtx) NewEnv() *Env {
-	e := &Env{}
-	e.rec = jc.rec
-	e.tracer = jc.tracer
-	return e
+	return &Env{rec: jc.rec}
 }
 
 // RunJobs executes job(jc) for indices 0..n-1 on `workers` host
@@ -58,11 +54,8 @@ func RunJobs(n, workers int, job func(jc *JobCtx)) {
 		workers = n
 	}
 	var ambient *obs.Recorder
-	var tracer func(t Time, format string, args ...any)
 	if OnNewEnv != nil {
-		probe := NewEnv()
-		ambient = probe.rec
-		tracer = probe.tracer
+		ambient = NewEnv().rec
 	}
 	jcs := make([]*JobCtx, n)
 	for i := range jcs {
@@ -73,11 +66,6 @@ func RunJobs(n, workers int, job func(jc *JobCtx)) {
 				rc = privateRingCap
 			}
 			jc.rec = obs.NewRecorder(rc)
-		}
-		if workers == 1 {
-			// Tracing is serial-only: concurrent jobs would interleave
-			// trace lines by host timing.
-			jc.tracer = tracer
 		}
 		jcs[i] = jc
 	}

@@ -85,13 +85,10 @@ func NewShardSet(n int, lookahead Time, workers int) *ShardSet {
 		outbox:    make([][]crossEvent, n),
 		recs:      make([]*obs.Recorder, n),
 	}
-	var tracer func(t Time, format string, args ...any)
 	if OnNewEnv != nil {
 		// Probe what the harness attaches to environments, without
 		// sharing the (non-thread-safe) recorder across shards.
-		probe := NewEnv()
-		s.ambient = probe.rec
-		tracer = probe.tracer
+		s.ambient = NewEnv().rec
 	}
 	for i := range s.shards {
 		e := &Env{}
@@ -103,11 +100,6 @@ func NewShardSet(n int, lookahead Time, workers int) *ShardSet {
 			s.recs[i] = obs.NewRecorder(rc)
 			e.rec = s.recs[i]
 		}
-		if workers == 1 {
-			// Tracing is a serial-only debugging channel: trace lines
-			// from concurrent windows would interleave by host timing.
-			e.tracer = tracer
-		}
 		s.shards[i] = e
 	}
 	return s
@@ -116,12 +108,6 @@ func NewShardSet(n int, lookahead Time, workers int) *ShardSet {
 // Shard returns shard i's environment. Setup (processes, scheduling)
 // happens directly against it before Run.
 func (s *ShardSet) Shard(i int) *Env { return s.shards[i] }
-
-// NumShards returns the number of shards.
-func (s *ShardSet) NumShards() int { return len(s.shards) }
-
-// Lookahead returns the conservative window width in cycles.
-func (s *ShardSet) Lookahead() Time { return s.lookahead }
 
 // Windows returns how many lookahead windows Run executed.
 func (s *ShardSet) Windows() int64 { return s.windows }

@@ -71,7 +71,6 @@ type Env struct {
 	procs   []*Proc // all spawned, for deadlock diagnosis
 	nlive   int     // procs started and not yet finished
 	running bool
-	tracer  func(t Time, format string, args ...any)
 	rec     *obs.Recorder
 }
 
@@ -100,13 +99,6 @@ func (e *Env) Recorder() *obs.Recorder { return e.rec }
 
 // Now returns the current virtual time.
 func (e *Env) Now() Time { return e.now }
-
-// SetTracer installs a trace function invoked by Proc.Tracef. A nil
-// tracer (the default) disables tracing.
-func (e *Env) SetTracer(fn func(t Time, format string, args ...any)) { e.tracer = fn }
-
-// Tracer returns the installed trace function, or nil.
-func (e *Env) Tracer() func(t Time, format string, args ...any) { return e.tracer }
 
 // badDelay reports a negative delay out of line: keeping the fmt
 // boxing in a helper keeps the noalloc schedule/wait paths free of
@@ -232,13 +224,6 @@ func (p *Proc) Wait(d Time) {
 	}
 	e.Schedule(d, p.handoffFn)
 	p.yield()
-}
-
-// Tracef emits a trace line through the environment tracer, if any.
-func (p *Proc) Tracef(format string, args ...any) {
-	if p.env.tracer != nil {
-		p.env.tracer(p.env.now, "["+p.name+"] "+format, args...)
-	}
 }
 
 // enterWait opens a blocking episode and returns its epoch.
@@ -412,9 +397,6 @@ func (r *Resource) Release(e *Env) {
 
 // InUse reports how many units are currently held.
 func (r *Resource) InUse() int { return r.inUse }
-
-// NQueued reports how many processes are waiting for a unit.
-func (r *Resource) NQueued() int { return r.q.Len() }
 
 // DeadlockError reports processes still blocked when the event heap
 // drained.

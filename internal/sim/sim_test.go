@@ -269,24 +269,6 @@ func TestEventOrderProperty(t *testing.T) {
 	}
 }
 
-func TestTracer(t *testing.T) {
-	e := NewEnv()
-	var lines []string
-	e.SetTracer(func(tm Time, format string, args ...any) {
-		lines = append(lines, fmt.Sprintf("%d "+format, append([]any{tm}, args...)...))
-	})
-	e.Go("p", func(p *Proc) {
-		p.Wait(7)
-		p.Tracef("hello %d", 42)
-	})
-	if err := e.Run(Infinity); err != nil {
-		t.Fatal(err)
-	}
-	if len(lines) != 1 || lines[0] != "7 [p] hello 42" {
-		t.Fatalf("lines = %v", lines)
-	}
-}
-
 func TestNegativeWaitPanics(t *testing.T) {
 	e := NewEnv()
 	e.Go("p", func(p *Proc) {

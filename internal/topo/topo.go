@@ -129,9 +129,6 @@ func (t *Topology) CoresPerNode() int { return t.coresPerNode }
 // TotalCores returns the machine-wide core count.
 func (t *Topology) TotalCores() int { return t.coresPerNode * len(t.dist) }
 
-// MemPerNode returns each node's local memory in bytes.
-func (t *Topology) MemPerNode() int64 { return t.memPerNode }
-
 // TotalMem returns the machine-wide physical memory in bytes.
 func (t *Topology) TotalMem() int64 { return t.memPerNode * int64(len(t.dist)) }
 
