@@ -13,16 +13,15 @@ BASE ?= HEAD
 linedelta:
 	./scripts/linedelta.sh $(BASE)
 
-# Project-invariant static analysis (see internal/lint): seven
+# Project-invariant static analysis (see internal/lint): six
 # analyzers over one shared package load — determinism hygiene
 # (detlint), //copier:noalloc contracts (alloclint), cost-model
 # hygiene (cyclelint), dimensional safety of units.Bytes/units.Pages/
-# sim.Time (unitlint), all-or-nothing sync/atomic field access in
-# the real-concurrency packages (atomiclint), handle/task/pin
-# lifecycle typestate (lifelint), and happens-before publication
-# order per //copier:ordered contracts (ordlint). The analyzer
-# registry in internal/lint/run.go is the authoritative list. Add -v
-# for per-analyzer timing.
+# sim.Time (unitlint), handle/task/pin lifecycle typestate
+# (lifelint), and happens-before publication order per
+# //copier:ordered contracts, with no raw sync/atomic call anywhere
+# (ordlint). The analyzer registry in internal/lint/run.go is the
+# authoritative list. Add -v for per-analyzer timing.
 lint:
 	go run ./cmd/copiervet . ./cmd/... ./internal/... ./examples/...
 

@@ -2,11 +2,10 @@
 // it machine-checks the properties that make this reproduction
 // trustworthy — byte-determinism of the simulator domain, zero-alloc
 // hot paths, cost-model hygiene, dimensional safety of the typed
-// quantities, all-or-nothing atomicity on the real-concurrency fast
-// paths, lifecycle typestate of the protocol objects, and
-// happens-before publication order of the lock-free structures — the
-// way the paper's own CopierSanitizer (§5.1.2) checks programs
-// against the Copier model.
+// quantities, lifecycle typestate of the protocol objects, and
+// happens-before publication order of the lock-free structures, whose
+// shared words must be typed atomics — the way the paper's own
+// CopierSanitizer (§5.1.2) checks programs against the Copier model.
 //
 // Usage:
 //

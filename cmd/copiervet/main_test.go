@@ -182,18 +182,19 @@ func TestVerboseTimings(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit = %d, want 0\nstderr:\n%s", code, stderr)
 	}
-	// The load happens once and every registered analyzer reports a
-	// phase — iterating the registry keeps this test honest when an
-	// eighth analyzer lands.
-	phases := []string{"load"}
+	// The registry is exactly these analyzers, in execution order, so a
+	// dropped or reordered analyzer fails here; -v reports the shared
+	// load once and then one phase per registry entry.
+	var names []string
 	for _, a := range lint.Analyzers {
-		phases = append(phases, a.Name)
+		names = append(names, a.Name)
 	}
-	if len(phases) < 8 {
-		t.Fatalf("registry lists %d analyzers, want >= 7", len(phases)-1)
+	const want = "detlint cyclelint unitlint lifelint ordlint alloclint"
+	if got := strings.Join(names, " "); got != want {
+		t.Fatalf("registry = %q, want %q", got, want)
 	}
-	for _, phase := range phases {
-		if !strings.Contains(stderr, phase) {
+	for _, phase := range append([]string{"load"}, names...) {
+		if !strings.Contains(stderr, "copiervet: "+phase+" ") {
 			t.Errorf("-v output missing phase %q:\n%s", phase, stderr)
 		}
 	}

@@ -107,14 +107,6 @@ func TestUnitlintGolden(t *testing.T) {
 	})
 }
 
-func TestAtomiclintGolden(t *testing.T) {
-	runGolden(t, "atomicsnip.golden", Options{
-		Dir:      ".",
-		Patterns: []string{"./testdata/src/atomicsnip"},
-		Atomic:   AtomicConfig{Packages: []string{"copier/internal/lint/testdata/src/atomicsnip"}},
-	})
-}
-
 func TestAlloclintGolden(t *testing.T) {
 	runGolden(t, "allocsnip.golden", Options{
 		Dir:       ".",
@@ -143,7 +135,6 @@ func TestOrdlintGolden(t *testing.T) {
 	runGolden(t, "ordsnip.golden", Options{
 		Dir:      ".",
 		Patterns: []string{"./testdata/src/ordsnip"},
-		Ord:      OrdConfig{Packages: []string{"copier/internal/lint/testdata/src/ordsnip"}},
 	})
 }
 
@@ -160,11 +151,11 @@ func checkConverged(t *testing.T, in *runInput) {
 }
 
 // TestTreeIsClean is the acceptance criterion in executable form:
-// the real tree must produce zero findings from all seven analyzers —
-// detlint, alloclint, cyclelint, unitlint, atomiclint, lifelint and
-// ordlint run under their default configurations (every violation
-// fixed or carrying a justified, used suppression) — and the flow
-// analyzers' fixpoints must settle before their caps.
+// the real tree must produce zero findings from all six analyzers —
+// detlint, cyclelint, unitlint, lifelint, ordlint and alloclint run
+// under their default configurations (every violation fixed or
+// carrying a justified, used suppression) — and the flow analyzers'
+// fixpoints must settle before their caps.
 func TestTreeIsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and escape-compiles the whole module")

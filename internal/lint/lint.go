@@ -8,7 +8,7 @@
 // checks *this implementation* against the rules that make the
 // reproduction trustworthy.
 //
-// Seven analyzers (the registry in run.go is the authoritative table;
+// Six analyzers (the registry in run.go is the authoritative table;
 // see each analyzer's file for its rule inventory):
 //
 //   - detlint    — determinism hygiene in simulator-domain packages:
@@ -28,23 +28,20 @@
 //     cross-dimension conversions, no mixed-dimension arithmetic, no
 //     laundering through plain ints, outside the blessed crossing
 //     points in internal/units and internal/cycles.
-//   - atomiclint — all-or-nothing atomicity in the real-concurrency
-//     packages: a struct field accessed via sync/atomic anywhere must
-//     be accessed that way everywhere, outside documented
-//     //copier:serialized spans.
 //   - lifelint   — interprocedural typestate checking of the protocol
 //     objects (acopy.Handle, core.Task, mem pin/unpin pairing,
 //     libcopier bindings) against //copier:lifecycle specs declared
 //     next to the types: every obligation released exactly once on
 //     every path, no use-after-release, ops only from their declared
 //     states.
-//   - ordlint    — happens-before publication order in the
-//     real-concurrency packages, against //copier:ordered contracts
-//     declared next to the types: every write to a guarded field
-//     happens before the publish store of its word, every
-//     cross-goroutine read is dominated by the matching consume load,
-//     no raw sync/atomic calls on governed fields, and every atomic
-//     poll loop is a documented //copier:spin site with an escape.
+//   - ordlint    — happens-before publication order against
+//     //copier:ordered contracts declared next to the types: every
+//     write to a guarded field happens before the publish store of its
+//     word, every cross-goroutine read is dominated by the matching
+//     consume load, and every atomic poll loop is a documented
+//     //copier:spin site with an escape. It also rejects every raw
+//     sync/atomic call, in any package, so every shared word is a
+//     typed atomic and no plain access to it can compile.
 //
 // Everything is stdlib-only (go/ast, go/parser, go/token, go/types);
 // type information comes from export data produced by `go list
@@ -91,9 +88,6 @@ const (
 	RuleUnitMix  = "unit-mix"  // arithmetic mixing two dimensions
 	RuleUnitArg  = "unit-arg"  // argument dimension != parameter dimension
 
-	// atomiclint rule.
-	RuleAtomicPlain = "atomic-plain" // plain access to a sync/atomic field
-
 	// lifelint rules.
 	RuleLifeLeak            = "life-leak"              // obligation live at scope exit
 	RuleLifeDoubleRelease   = "life-double-release"    // second release of the same value
@@ -104,7 +98,7 @@ const (
 	// ordlint rules.
 	RuleOrdPubBeforeInit = "pub-before-init" // write to a guarded field after its word published
 	RuleOrdUnorderedRead = "unordered-read"  // guarded read not dominated by a consume load
-	RuleOrdMixedAtomics  = "mixed-atomics"   // raw atomic.* call on a field of a governed type
+	RuleOrdRawAtomic     = "raw-atomic"      // call to a package-level sync/atomic function
 	RuleOrdSpinUnbounded = "spin-unbounded"  // atomic poll loop without a //copier:spin site
 	RuleOrdSpec          = "ord-spec"        // malformed //copier:ordered or //copier:spin directive
 

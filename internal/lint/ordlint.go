@@ -27,14 +27,22 @@ import (
 //   - unordered-read: a read of a guarded field not dominated by a
 //     consume of the guarding word (no acquire edge orders the read
 //     after the publisher's writes).
-//   - mixed-atomics: a raw atomic.LoadUint64(&x.f)-style access to a
-//     field of a struct that is //copier:ordered-governed or already
-//     carries typed sync/atomic fields — one word, two access styles.
-//   - spin-unbounded: a loop in the configured packages that polls an
-//     atomic without a //copier:spin annotation, or an annotated spin
-//     site with no yield/park escape in the loop.
+//   - raw-atomic: a call to a package-level sync/atomic function
+//     (atomic.AddInt64, atomic.LoadUint64, ...), in any package. With
+//     no raw call left, the typed wrappers (atomic.Uint64 etc.) are the
+//     only way to reach a shared word, so an atomic and a plain access
+//     to the same field cannot both exist. Suppressing the rule gives
+//     that guarantee up; the fix is to type the word.
+//   - spin-unbounded: a loop that polls an atomic without a
+//     //copier:spin annotation, or an annotated spin site with no
+//     yield/park escape in the loop.
 //   - ord-spec: a malformed //copier:ordered or //copier:spin
 //     directive (emitted by ordspec.go).
+//
+// Every rule runs on every loaded package: raw-atomic and
+// spin-unbounded need a sync/atomic call to fire, and the flow rules
+// follow the //copier:ordered specs wherever they are declared or
+// imported.
 //
 // Documented coarseness (the model is acquire-shaped, not value-
 // shaped):
@@ -59,43 +67,14 @@ import (
 //     are finite. Neither needs a //copier:spin site.
 //   - len/cap of a guarded slice read only the immutable header.
 
-// OrdConfig parameterizes ordlint so tests can point it at snippet
-// packages.
-type OrdConfig struct {
-	// Packages are the import paths (exact or prefix) whose code runs
-	// under real goroutines and is subject to the mixed-atomics and
-	// spin-unbounded rules. //copier:ordered flow checking follows the
-	// specs themselves wherever they are declared or imported.
-	Packages []string
-}
-
-// DefaultOrdConfig mirrors atomiclint's domain: the native background
-// copier, the rings and counters it shares with the core service, and
-// the simulator's shard runtime.
-var DefaultOrdConfig = OrdConfig{Packages: []string{
-	"copier/internal/acopy",
-	"copier/internal/core",
-	"copier/internal/obs",
-	"copier/internal/sim",
-}}
-
 // ordLint runs the four passes: spec collection (grammar findings),
-// mixed-access detection, spin-loop hygiene, and the happens-before
-// flow analysis, recording how its fixpoints ended in stats.
-func ordLint(pkgs []*Package, cfg OrdConfig, stats *flowStats) []Finding {
+// raw-call detection, spin-loop hygiene, and the happens-before flow
+// analysis, recording how its fixpoints ended in stats.
+func ordLint(pkgs []*Package, stats *flowStats) []Finding {
 	specs, out := collectOrdSpecs(pkgs)
-	var targets []*Package
-	for _, p := range pkgs {
-		for _, t := range cfg.Packages {
-			if p.Path == t || strings.HasPrefix(p.Path, t+"/") {
-				targets = append(targets, p)
-				break
-			}
-		}
-	}
 	oc := &ordChecker{specs: specs, summaries: make(map[string]*ordSummary), stats: stats}
-	out = append(out, oc.mixedAtomics(targets)...)
-	out = append(out, oc.spinLoops(targets)...)
+	out = append(out, rawAtomics(pkgs)...)
+	out = append(out, oc.spinLoops(pkgs)...)
 	out = append(out, oc.flowFindings(pkgs)...)
 	return out
 }
@@ -114,8 +93,6 @@ const (
 type ordOp struct {
 	kind     ordOpKind
 	cas      bool              // CompareAndSwap family
-	raw      bool              // package-level atomic.LoadUint64-style call
-	fnName   string            // Load, StoreUint64, ...
 	fieldSel *ast.SelectorExpr // the x.f selector operated on, if any
 	indices  []ast.Expr        // index exprs unwrapped from the operand chain
 	args     []ast.Expr        // value operands (to walk as reads)
@@ -134,7 +111,7 @@ func classifyAtomicCall(p *Package, call *ast.CallExpr) (ordOp, bool) {
 	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync/atomic" {
 		return ordOp{}, false
 	}
-	op := ordOp{fnName: fn.Name()}
+	var op ordOp
 	sig, _ := fn.Type().(*types.Signature)
 	if sig != nil && sig.Recv() != nil {
 		// Typed wrapper method: x.f.Load(), r.slots[i].Store(h), ...
@@ -142,7 +119,6 @@ func classifyAtomicCall(p *Package, call *ast.CallExpr) (ordOp, bool) {
 		op.args = call.Args
 	} else {
 		// Raw call: atomic.LoadUint64(&r.tail).
-		op.raw = true
 		if len(call.Args) == 0 {
 			return ordOp{}, false
 		}
@@ -153,15 +129,15 @@ func classifyAtomicCall(p *Package, call *ast.CallExpr) (ordOp, bool) {
 		op.fieldSel, op.indices = unwrapFieldOperand(addr.X)
 		op.args = call.Args[1:]
 	}
-	switch {
-	case strings.HasPrefix(op.fnName, "Load"):
+	switch name := fn.Name(); {
+	case strings.HasPrefix(name, "Load"):
 		op.kind = ordOpLoad
-	case strings.HasPrefix(op.fnName, "Store"):
+	case strings.HasPrefix(name, "Store"):
 		op.kind = ordOpStore
 		if len(op.args) > 0 && isZeroExpr(p, op.args[len(op.args)-1]) {
 			op.zero = true
 		}
-	case strings.HasPrefix(op.fnName, "CompareAndSwap"):
+	case strings.HasPrefix(name, "CompareAndSwap"):
 		op.kind, op.cas = ordOpRMW, true
 	default: // Add, Swap, And, Or
 		op.kind = ordOpRMW
@@ -238,72 +214,72 @@ func ordResolveField(p *Package, sel *ast.SelectorExpr) (root types.Object, type
 	}
 }
 
-// --- mixed-atomics ----------------------------------------------------
+// selField resolves a selector that names a struct field to the field
+// and the type that owns it, pointers peeled.
+func selField(p *Package, sel *ast.SelectorExpr) (*types.Var, types.Type, bool) {
+	s, found := p.Info.Selections[sel]
+	if !found || s.Kind() != types.FieldVal {
+		return nil, nil, false
+	}
+	v, isVar := s.Obj().(*types.Var)
+	if !isVar || !v.IsField() || v.Pkg() == nil {
+		return nil, nil, false
+	}
+	recv := s.Recv()
+	for {
+		ptr, isPtr := recv.(*types.Pointer)
+		if !isPtr {
+			return v, recv, true
+		}
+		recv = ptr.Elem()
+	}
+}
 
-// mixedAtomics flags raw sync/atomic calls over fields of types that
-// are //copier:ordered-governed or already use the typed wrappers.
-func (oc *ordChecker) mixedAtomics(targets []*Package) []Finding {
+// fieldName renders the struct field a selector denotes as
+// Type.field, for messages.
+func fieldName(p *Package, sel *ast.SelectorExpr) (string, bool) {
+	v, recv, ok := selField(p, sel)
+	if !ok {
+		return "", false
+	}
+	recvName := recv.String()
+	if named, isNamed := recv.(*types.Named); isNamed && named.Obj() != nil {
+		recvName = named.Obj().Name()
+	}
+	return recvName + "." + v.Name(), true
+}
+
+// --- raw-atomic -------------------------------------------------------
+
+// rawAtomics flags every call to a package-level sync/atomic function.
+// Such a call reaches a word of plain type (int64, uint64,
+// unsafe.Pointer, ...), which any other code may also load or store
+// plainly; a typed wrapper allows no access but its own methods.
+func rawAtomics(pkgs []*Package) []Finding {
 	var out []Finding
-	for _, p := range targets {
+	for _, p := range pkgs {
 		for _, f := range p.Files {
 			ast.Inspect(f, func(n ast.Node) bool {
 				call, ok := n.(*ast.CallExpr)
 				if !ok {
 					return true
 				}
-				op, ok := classifyAtomicCall(p, call)
-				if !ok || !op.raw || op.fieldSel == nil {
+				fn := calleeFunc(p, call)
+				if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync/atomic" ||
+					fn.Type().(*types.Signature).Recv() != nil {
 					return true
-				}
-				// Only the owning type matters here, not the root.
-				v, recv, ok := selField(p, op.fieldSel)
-				typeKey := lifeTypeKey(recv)
-				if !ok || typeKey == "" {
-					return true
-				}
-				typeName := typeKey[strings.LastIndexByte(typeKey, '.')+1:]
-				governed := oc.specs.byType[typeKey] != nil
-				if !governed && !typeHasAtomicField(recv) {
-					return true
-				}
-				why := "a //copier:ordered-governed type"
-				if !governed {
-					why = "a type with typed sync/atomic fields"
 				}
 				out = append(out, Finding{
 					Pos:  p.Position(call.Pos()),
-					Rule: RuleOrdMixedAtomics,
-					Msg: fmt.Sprintf("raw atomic.%s of %s.%s, a field of %s",
-						op.fnName, typeName, v.Name(), why),
-					Hint: "make the field a typed atomic (atomic.Uint64 etc.) so every access is atomic by construction",
+					Rule: RuleOrdRawAtomic,
+					Msg:  fmt.Sprintf("raw atomic.%s on a plain word: nothing forces the word's other accesses to be atomic", fn.Name()),
+					Hint: "make the word a typed atomic (atomic.Uint64 etc.) so every access is atomic by construction",
 				})
 				return true
 			})
 		}
 	}
 	return out
-}
-
-// typeHasAtomicField reports whether struct type t declares at least
-// one typed sync/atomic field.
-func typeHasAtomicField(t types.Type) bool {
-	st, ok := t.Underlying().(*types.Struct)
-	if !ok {
-		return false
-	}
-	for i := 0; i < st.NumFields(); i++ {
-		t = st.Field(i).Type()
-		if sl, isSlice := t.(*types.Slice); isSlice {
-			t = sl.Elem()
-		}
-		if ar, isArr := t.(*types.Array); isArr {
-			t = ar.Elem()
-		}
-		if isAtomicWrapper(t) {
-			return true
-		}
-	}
-	return false
 }
 
 // --- spin-unbounded ---------------------------------------------------
@@ -318,20 +294,16 @@ type loopRegion struct {
 	bounded  bool   // cond is a pure comparison over a loop-written local
 }
 
-// spinLoops enforces spin-site hygiene over the configured packages:
-// every polling loop carries a //copier:spin annotation, and every
-// annotated loop has an escape.
-func (oc *ordChecker) spinLoops(targets []*Package) []Finding {
+// spinLoops enforces spin-site hygiene: every polling loop carries a
+// //copier:spin annotation, and every annotated loop has an escape.
+func (oc *ordChecker) spinLoops(pkgs []*Package) []Finding {
 	var out []Finding
-	for _, p := range targets {
+	for _, p := range pkgs {
 		for _, f := range p.Files {
 			for _, decl := range f.Decls {
 				fd, ok := decl.(*ast.FuncDecl)
 				if !ok || fd.Body == nil {
 					continue
-				}
-				if docSerialized(fd.Doc) {
-					continue // single-threaded by documentation
 				}
 				_, fnSpin := docSpin(fd.Doc)
 				ast.Inspect(fd.Body, func(n ast.Node) bool {
@@ -415,7 +387,7 @@ func scanLoopRegion(p *Package, fs *ast.ForStmt) loopRegion {
 						r.polls = true
 						r.pollName = "an atomic word"
 						if op.fieldSel != nil {
-							if _, name, ok := fieldKey(p, op.fieldSel); ok {
+							if name, ok := fieldName(p, op.fieldSel); ok {
 								r.pollName = name
 							}
 						}
@@ -693,17 +665,16 @@ func (oc *ordChecker) govSpec(t types.Type) *ordSpec {
 // findings.
 type ordWalker struct {
 	flow[ordEnv, *ordEnv]
-	oc         *ordChecker
-	p          *Package
-	fd         *ast.FuncDecl
-	entryObjs  []types.Object // flattened [receiver?, params...]; nil = ungoverned
-	entryIdx   map[types.Object]int
-	sum        *ordSummary
-	findings   *[]Finding // nil during summary rounds
-	serialized map[int]bool
-	inGo       int // >0 while interpreting a `go` closure body
-	inLit      int // >0 while interpreting a synchronous func literal
-	exits      []*ordEnv
+	oc        *ordChecker
+	p         *Package
+	fd        *ast.FuncDecl
+	entryObjs []types.Object // flattened [receiver?, params...]; nil = ungoverned
+	entryIdx  map[types.Object]int
+	sum       *ordSummary
+	findings  *[]Finding // nil during summary rounds
+	inGo      int        // >0 while interpreting a `go` closure body
+	inLit     int        // >0 while interpreting a synchronous func literal
+	exits     []*ordEnv
 }
 
 func (oc *ordChecker) newWalker(fn *flowFunc, findings *[]Finding) *ordWalker {
@@ -749,17 +720,6 @@ func (oc *ordChecker) newWalker(fn *flowFunc, findings *[]Finding) *ordWalker {
 func (w *ordWalker) emit(f Finding) { *w.findings = append(*w.findings, f) }
 
 func (w *ordWalker) run() {
-	if docSerialized(w.fd.Doc) {
-		// Documented single-threaded span: nothing to check, and the
-		// summary stays empty (callers learn nothing — safe).
-		return
-	}
-	for _, f := range w.p.Files {
-		if f.Pos() <= w.fd.Pos() && w.fd.Pos() <= f.End() {
-			w.serialized = serializedLines(w.p, f)
-			break
-		}
-	}
 	env := newOrdEnv()
 	if !w.block(env, w.fd.Body.List) {
 		w.exits = append(w.exits, env)
@@ -1125,10 +1085,6 @@ func (w *ordWalker) readGuard(env *ordEnv, pos token.Pos, root types.Object, spe
 	if root == nil {
 		return
 	}
-	position := w.p.Position(pos)
-	if w.serialized[position.Line] || w.serialized[position.Line-1] {
-		return
-	}
 	if env.wrote[ordFieldKey{root, spec, field}] {
 		return // reading our own un-published write
 	}
@@ -1166,10 +1122,10 @@ func (w *ordWalker) readGuard(env *ordEnv, pos token.Pos, root types.Object, spe
 				spec.TypeName, field, pubWord.Name, pubLine)
 		}
 		w.emit(Finding{
-			Pos:  position,
+			Pos:  w.p.Position(pos),
 			Rule: RuleOrdUnorderedRead,
 			Msg:  msg,
-			Hint: fmt.Sprintf("load %s first (acquire), or document the span with //copier:serialized <reason>", firstWord.Name),
+			Hint: fmt.Sprintf("load %s first (acquire)", firstWord.Name),
 		})
 	}
 	// Suppress cascading reports on this path.
@@ -1183,15 +1139,13 @@ func (w *ordWalker) writeGuard(env *ordEnv, pos token.Pos, root types.Object, sp
 	if root == nil {
 		return
 	}
-	position := w.p.Position(pos)
-	covered := w.serialized[position.Line] || w.serialized[position.Line-1]
 	for _, word := range spec.guardedBy(field) {
 		k := ordWordKey{root, word}
 		st := env.state(k)
-		if st.published && !covered {
+		if st.published {
 			if w.findings != nil {
 				w.emit(Finding{
-					Pos:  position,
+					Pos:  w.p.Position(pos),
 					Rule: RuleOrdPubBeforeInit,
 					Msg: fmt.Sprintf("write to %s.%s after %s was published at line %d",
 						spec.TypeName, field, word.Name, st.pubLine),
@@ -1255,7 +1209,6 @@ func (w *ordWalker) applySummary(env *ordEnv, call *ast.CallExpr, fn *types.Func
 	sig, _ := fn.Type().(*types.Signature)
 	exprs := callOperands(call, sig)
 	pos := w.p.Position(call.Pos())
-	covered := w.serialized[pos.Line] || w.serialized[pos.Line-1]
 	for i, ps := range sum.params {
 		if ps == nil || i >= len(exprs) || exprs[i] == nil {
 			continue
@@ -1279,7 +1232,7 @@ func (w *ordWalker) applySummary(env *ordEnv, call *ast.CallExpr, fn *types.Func
 			}
 			if isEntry && !st.published {
 				w.sum.params[entry].requires[word] = true
-			} else if w.findings != nil && !covered {
+			} else if w.findings != nil {
 				w.emit(Finding{
 					Pos:  pos,
 					Rule: RuleOrdUnorderedRead,
@@ -1314,7 +1267,7 @@ func (w *ordWalker) applySummary(env *ordEnv, call *ast.CallExpr, fn *types.Func
 				k := ordWordKey{obj, word}
 				st := env.state(k)
 				if st.published {
-					if w.findings != nil && !covered {
+					if w.findings != nil {
 						w.emit(Finding{
 							Pos:  pos,
 							Rule: RuleOrdPubBeforeInit,

@@ -50,7 +50,6 @@ type ordWord struct {
 // ordSpec is the ordering contract of one governed struct type.
 type ordSpec struct {
 	TypeName string
-	Key      string // pkgpath.TypeName, the identity fieldKey uses
 	PkgPath  string
 	Words    []*ordWord
 	byWord   map[string]*ordWord
@@ -70,7 +69,7 @@ type ordSpecs struct {
 	byType map[string]*ordSpec
 	// spin maps filename -> line -> reason for every well-formed
 	// //copier:spin marker. A marker covers its own line and the line
-	// below, like //copier:serialized.
+	// below.
 	spin map[string]map[int]string
 }
 
@@ -211,7 +210,6 @@ func collectOrdSpecs(pkgs []*Package) (*ordSpecs, []Finding) {
 						}
 						cur = &ordSpec{
 							TypeName: cl.Name,
-							Key:      key,
 							PkgPath:  p.Path,
 							byWord:   make(map[string]*ordWord),
 							guardOf:  make(map[string][]*ordWord),

@@ -41,10 +41,6 @@ type Options struct {
 	Cycles CycleConfig
 	// Units configures unitlint; zero value selects the defaults.
 	Units UnitConfig
-	// Atomic configures atomiclint; zero value selects the defaults.
-	Atomic AtomicConfig
-	// Ord configures ordlint; zero value selects the defaults.
-	Ord OrdConfig
 	// DomainAll treats every target package as simulator-domain
 	// (used by tests over snippet packages).
 	DomainAll bool
@@ -113,14 +109,6 @@ var Analyzers = []Analyzer{
 		},
 	},
 	{
-		Name:  "atomiclint",
-		Doc:   "all-or-nothing atomic access to shared fields",
-		Rules: []string{RuleAtomicPlain},
-		run: func(in *runInput) ([]Finding, error) {
-			return AtomicLint(in.pkgs, in.opts.Atomic), nil
-		},
-	},
-	{
 		Name:  "lifelint",
 		Doc:   "lifecycle typestate of protocol objects (//copier:lifecycle)",
 		Rules: []string{RuleLifeLeak, RuleLifeDoubleRelease, RuleLifeUseAfterRelease, RuleLifeState, RuleLifeSpec},
@@ -130,10 +118,10 @@ var Analyzers = []Analyzer{
 	},
 	{
 		Name:  "ordlint",
-		Doc:   "happens-before publication order (//copier:ordered, //copier:spin)",
-		Rules: []string{RuleOrdPubBeforeInit, RuleOrdUnorderedRead, RuleOrdMixedAtomics, RuleOrdSpinUnbounded, RuleOrdSpec},
+		Doc:   "happens-before publication order (//copier:ordered, //copier:spin), typed atomics only",
+		Rules: []string{RuleOrdPubBeforeInit, RuleOrdUnorderedRead, RuleOrdRawAtomic, RuleOrdSpinUnbounded, RuleOrdSpec},
 		run: func(in *runInput) ([]Finding, error) {
-			return ordLint(in.pkgs, in.opts.Ord, &in.ord), nil
+			return ordLint(in.pkgs, &in.ord), nil
 		},
 	},
 	{
@@ -201,12 +189,6 @@ func run(opts Options) (*Result, *runInput, error) {
 	}
 	if opts.Units.Dims == nil {
 		opts.Units = DefaultUnitConfig
-	}
-	if len(opts.Atomic.Packages) == 0 {
-		opts.Atomic = DefaultAtomicConfig
-	}
-	if len(opts.Ord.Packages) == 0 {
-		opts.Ord = DefaultOrdConfig
 	}
 
 	res := &Result{}

@@ -17,7 +17,7 @@ func FuzzSuppress(f *testing.F) {
 		"//copiervet:ignore det-go,det-sync real threads by design",
 		"//copiervet:ignore-file det-sync whole file is native-side",
 		"//copiervet:ignore unit-conv boundary with the mini-IR stays int",
-		"//copiervet:ignore atomic-plain teardown after the last join",
+		"//copiervet:ignore raw-atomic word shared with a C caller that takes *int64",
 		"//copiervet:ignore",
 		"//copiervet:ignore ",
 		"//copiervet:ignore det-time",

@@ -129,17 +129,6 @@ func lockedReader(b *Box, mu *sync.Mutex) int {
 	return b.count
 }
 
-// buildSerialized pins the //copier:serialized escape hatch: a
-// documented single-goroutine span may order however it likes.
-//
-//copier:serialized single-owner constructor; b is unpublished until returned
-func buildSerialized(p []byte) *Box {
-	b := &Box{}
-	b.ready.Store(1)
-	b.payload = p
-	return b
-}
-
 // localOwner pins owner-on-define: a locally created Box is owned;
 // writing and reading it without atomics is fine until it escapes.
 func localOwner(p []byte) int {
@@ -149,7 +138,7 @@ func localOwner(p []byte) int {
 	return b.count
 }
 
-// --- mixed-atomics -----------------------------------------------------
+// --- raw-atomic --------------------------------------------------------
 
 // oldRing reproduces the real finding ordlint landed with: acopy's
 // MPSC ring paired a typed atomic.Uint64 head with raw atomic calls
@@ -160,11 +149,38 @@ type oldRing struct {
 }
 
 func (r *oldRing) size() uint64 {
-	return r.head.Load() - atomic.LoadUint64(&r.tail) // want mixed-atomics
+	return r.head.Load() - atomic.LoadUint64(&r.tail) // want raw-atomic
 }
 
 func (r *oldRing) advance() {
-	atomic.AddUint64(&r.tail, 1) // want mixed-atomics
+	atomic.AddUint64(&r.tail, 1) // want raw-atomic
+}
+
+// plainCounter has no typed field at all, so nothing marks n as
+// shared: the raw add races the plain read in get. Typing n as
+// atomic.Int64 would make that read a compile error.
+type plainCounter struct {
+	n int64
+}
+
+func (c *plainCounter) inc() {
+	atomic.AddInt64(&c.n, 1) // want raw-atomic
+}
+
+func (c *plainCounter) get() int64 {
+	return c.n
+}
+
+// bumpVia reaches its word through a pointer, not a &x.f operand.
+func bumpVia(p *uint32) {
+	atomic.AddUint32(p, 1) // want raw-atomic
+}
+
+// hits is a package-level word.
+var hits int64
+
+func countHit() {
+	atomic.AddInt64(&hits, 1) // want raw-atomic
 }
 
 // --- spin-unbounded ----------------------------------------------------

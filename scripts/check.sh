@@ -19,20 +19,19 @@ go vet ./...
 # invariants: determinism hygiene in simulator-domain packages,
 # //copier:noalloc escape-analysis contracts, cost-model hygiene,
 # dimensional safety of units.Bytes/units.Pages/sim.Time,
-# all-or-nothing sync/atomic field access in the real-concurrency
-# packages, handle/task/pin lifecycle typestate (lifelint: no
-# leaked, double-released, or used-after-release obligation on any
-# path), and happens-before publication order of the lock-free
-# structures (ordlint: every guarded write before its publish store,
-# every cross-goroutine read behind a consume load, no raw/typed
-# atomic mixing, every atomic poll loop a documented //copier:spin
+# handle/task/pin lifecycle typestate (lifelint: no leaked,
+# double-released, or used-after-release obligation on any path), and
+# happens-before publication order of the lock-free structures
+# (ordlint: every guarded write before its publish store, every
+# cross-goroutine read behind a consume load, no raw sync/atomic call
+# in any package, every atomic poll loop a documented //copier:spin
 # site). It prints every finding plus a per-rule count summary and
 # exits 1 on any unsuppressed finding (2 if the run itself fails).
 # The patterns spell out every tree the gate owns — internal, the
 # commands, and the examples — so a future default-pattern change
 # cannot silently drop the demo code from the lifecycle gate; -v
 # prints per-analyzer timing so a slow analyzer is visible in CI.
-echo "== copiervet (seven analyzers) =="
+echo "== copiervet (six analyzers) =="
 go run ./cmd/copiervet -v . ./cmd/... ./internal/... ./examples/...
 
 echo "== go build ./... =="
