@@ -114,6 +114,12 @@ func micro(name string, simBytesPerOp int64, fn func(b *testing.B)) MicroResult 
 	return m
 }
 
+// pollingCtx is benchCtx whose NAPI sleep ends at once, as if a
+// doorbell rang, so an idle service thread sweeps without pause.
+type pollingCtx struct{ benchCtx }
+
+func (pollingCtx) BlockTimeout(*sim.Signal, sim.Time) bool { return true }
+
 // RunMicrobenches runs the hot-path microbenchmarks covering the three
 // layers this repo optimizes — the simulator event queue, the service
 // ring/dispatch path, and the acopy userspace runtime — and returns
@@ -251,6 +257,31 @@ func RunMicrobenches() MicroReport {
 		for i := 0; i < b.N; i++ {
 			vpn := uint64(4096 + i)
 			c.InsertW(as, vpn, mem.Frame(vpn), true)
+		}
+	}))
+
+	// Service idle polling: one op is one empty sweep of a one-node
+	// service whose 24 two-core sharded clients have nothing queued,
+	// the state a fleet thread spends most sweeps in. The thread's NAPI
+	// sleeps end at once, so it busy-polls for the whole run.
+	results = append(results, micro("core/idle-sweep", 0, func(b *testing.B) {
+		env := sim.NewEnv()
+		pm := mem.NewPhysMem(1 << 20)
+		svc := core.NewService(env, pm, core.DefaultConfig())
+		as := mem.NewAddrSpace(pm)
+		for i := 0; i < 24; i++ {
+			svc.NewClient("idle", as, as, nil).EnableShards(2)
+		}
+		env.Go("copierd", func(p *sim.Proc) { svc.ThreadMain(pollingCtx{benchCtx{p}}, 0) })
+		b.ReportAllocs()
+		b.ResetTimer()
+		if err := env.Run(sim.Time(b.N) * (cycles.PollIteration + cycles.SchedulePick)); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		svc.Stop()
+		if err := env.Run(env.Now() + cycles.XSave); err != nil {
+			b.Fatal(err)
 		}
 	}))
 

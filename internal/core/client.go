@@ -242,23 +242,6 @@ func (c *Client) PopHandler() *Handler {
 // HandlerQueueLen reports queued UFUNC count.
 func (c *Client) HandlerQueueLen() int { return len(c.U.handlers) }
 
-// hasWork reports whether any queue holds unprocessed tasks or the
-// merged pending list is non-empty.
-func (c *Client) hasWork() bool {
-	if len(c.pending) > 0 {
-		return true
-	}
-	for _, q := range []*QueueSet{c.U, c.K} {
-		if q.Copy.Peek() != nil || q.Sync.Peek() != nil {
-			return true
-		}
-	}
-	if c.Shards != nil && c.Shards.Len() > 0 {
-		return true
-	}
-	return false
-}
-
 // admit drains the client's Copy Queues into the merged pending list,
 // respecting cross-queue barriers: a trap barrier caps user
 // admissions at its snapshot position until the matching return

@@ -853,6 +853,7 @@ func (s *Service) dispatch(ctx Ctx, c *Client, all []chunk) {
 //
 //copier:noalloc
 func (s *Service) dmaDone(env *sim.Env, eng int, ch chunk, err error) {
+	s.epoch++
 	s.inflightDMA--
 	ch.task.inflight--
 	perm := err == hw.ErrEngineDead

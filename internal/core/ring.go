@@ -22,22 +22,18 @@ import "fmt"
 // advancing the head (fetch-and-add in the real system), fill the
 // task, then set the slot's valid bit; the single consumer (a Copier
 // thread) takes valid tasks from the tail. Task order follows acquire
-// order.
+// order. A slot is the task pointer itself, and nil is the cleared
+// valid bit, so a slot costs 8 bytes.
 //
 // Inside the discrete-event simulation only one process runs at a
 // time, so plain fields model the protocol faithfully; the natively
 // concurrent implementation of the same protocol lives in
 // internal/acopy and is exercised with real goroutines there.
 type Ring struct {
-	slots []ringSlot
+	slots []*Task
 	mask  uint64
 	head  uint64 // acquire counter (next free slot)
 	tail  uint64 // consume counter
-}
-
-type ringSlot struct {
-	valid bool
-	task  *Task
 }
 
 // NewRing creates a ring with capacity rounded up to a power of two.
@@ -46,7 +42,7 @@ func NewRing(capacity int) *Ring {
 	for n < capacity {
 		n <<= 1
 	}
-	return &Ring{slots: make([]ringSlot, n), mask: uint64(n - 1)}
+	return &Ring{slots: make([]*Task, n), mask: uint64(n - 1)}
 }
 
 // Cap returns the ring capacity.
@@ -85,23 +81,26 @@ func (r *Ring) Acquire() (uint64, bool) {
 	}
 	pos := r.head
 	r.head++
-	if r.slots[pos&r.mask].valid {
+	if r.slots[pos&r.mask] != nil {
 		badSlot("reuse of still-valid", pos&r.mask)
 	}
 	return pos, true
 }
 
 // Publish fills the slot acquired at pos and sets its valid bit,
-// making it (and any later already-published slots) consumable.
+// making it (and any later already-published slots) consumable. A nil
+// task would leave the bit cleared, so it panics.
 //
 //copier:noalloc
 func (r *Ring) Publish(pos uint64, t *Task) {
 	s := &r.slots[pos&r.mask]
-	if s.valid {
+	if *s != nil {
 		badSlot("publish to already-valid", pos&r.mask)
 	}
-	s.task = t
-	s.valid = true
+	if t == nil {
+		badSlot("publish of a nil task to", pos&r.mask)
+	}
+	*s = t
 }
 
 // Push acquires a slot, fills it and publishes it in one step,
@@ -123,14 +122,12 @@ func (r *Ring) Pop() *Task {
 	if r.tail == r.head {
 		return nil
 	}
-	idx := r.tail & r.mask
-	s := &r.slots[idx]
-	if !s.valid {
+	s := &r.slots[r.tail&r.mask]
+	t := *s
+	if t == nil {
 		return nil
 	}
-	t := s.task
-	s.valid = false
-	s.task = nil
+	*s = nil
 	r.tail++
 	return t
 }
@@ -151,12 +148,11 @@ func (r *Ring) PopN(buf []*Task) int {
 			break
 		}
 		s := &r.slots[pos&r.mask]
-		if !s.valid {
+		if *s == nil {
 			break
 		}
-		buf[n] = s.task
-		s.valid = false
-		s.task = nil
+		buf[n] = *s
+		*s = nil
 		n++
 	}
 	r.tail += uint64(n)
@@ -168,9 +164,5 @@ func (r *Ring) Peek() *Task {
 	if r.tail == r.head {
 		return nil
 	}
-	s := &r.slots[r.tail&r.mask]
-	if !s.valid {
-		return nil
-	}
-	return s.task
+	return r.slots[r.tail&r.mask]
 }

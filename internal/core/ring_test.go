@@ -68,6 +68,19 @@ func TestRingCapacityRounding(t *testing.T) {
 	}
 }
 
+// TestRingPublishNilPanics: nil is a slot's cleared valid bit, so
+// publishing a nil task would leave the slot unpublished forever.
+func TestRingPublishNilPanics(t *testing.T) {
+	r := NewRing(4)
+	pos, _ := r.Acquire()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("no panic publishing a nil task")
+		}
+	}()
+	r.Publish(pos, nil)
+}
+
 func TestRingPeek(t *testing.T) {
 	r := NewRing(4)
 	if r.Peek() != nil {

@@ -294,6 +294,12 @@ type Service struct {
 	// partition across a yield keeps its snapshot.
 	parts        [][]*Client
 	partsThreads int
+	// epoch counts the events that can give a fruitless sweep work: a
+	// ring push (doorbell), a DMA completion (dmaDone), a kill
+	// (KillClient), and a partition rebuild (clientsOf), which covers
+	// every change of activeThreads or of the client list. See
+	// quietSweep.
+	epoch uint64
 	// spawnThread, when set, lets auto-scaling start another service
 	// thread (the kernel integration supplies it).
 	spawnThread func(slot int)
@@ -482,6 +488,7 @@ func (s *Service) KillClient(c *Client) {
 		return
 	}
 	c.dying = true
+	s.epoch++
 	// Wake sleeping service threads unconditionally: the doorbell only
 	// fires on submissions, and a dead client submits nothing more.
 	s.workSig.Broadcast(s.env)
@@ -576,8 +583,10 @@ func (s *Service) CloseClient(c *Client) {
 	}
 }
 
-// doorbell notifies service threads of new work.
+// doorbell notifies service threads of new work. Every ring push goes
+// through it.
 func (s *Service) doorbell(c *Client) {
+	s.epoch++
 	if s.sleeping > 0 {
 		s.workSig.Broadcast(s.env)
 	}
@@ -591,6 +600,7 @@ func (s *Service) ThreadMain(ctx Ctx, slot int) {
 	// Save AVX state once per activation instead of per copy (§4.3).
 	ctx.Exec(cycles.XSave)
 	idle := 0
+	var quiet quietSweep
 	for !s.stopped {
 		if s.cfg.Mode == PollScenario && !s.scenarioActive {
 			s.Stats.Sleeps++
@@ -605,7 +615,7 @@ func (s *Service) ThreadMain(ctx Ctx, slot int) {
 			s.parked--
 			continue
 		}
-		worked := s.serveOnce(ctx, slot)
+		worked := s.serveOnce(ctx, slot, &quiet)
 		if worked {
 			idle = 0
 			if slot == 0 {
@@ -708,6 +718,7 @@ func (s *Service) clientsOf(slot int) []*Client {
 	}
 	if s.parts[slot] == nil {
 		s.parts[slot] = s.partition(slot)
+		s.epoch++
 	}
 	return s.parts[slot]
 }
@@ -732,12 +743,77 @@ func (s *Service) partition(slot int) []*Client {
 	return out
 }
 
+// quietSweep is a service thread's proof that its next sweep finds
+// nothing: its last full sweep was fruitless under epoch, and until is
+// the earliest Deadline, LazyDeadline or retryAt of a pending task
+// after that sweep's admission instant (sim.Infinity if none). The
+// zero value proves nothing.
+type quietSweep struct {
+	epoch uint64
+	until sim.Time
+}
+
 // serveOnce admits new tasks, serves Sync Queues, expires lazy tasks
 // and executes one CFS-picked client's slice. Reports whether any work
-// was done.
-func (s *Service) serveOnce(ctx Ctx, slot int) bool {
-	s.brownoutEval(s.now())
+// was done. A quiet sweep (same epoch as q, before q.until) skips the
+// scans, which would find nothing, and charges the same SchedulePick
+// wait; if the proof lapses during that wait it picks for real.
+func (s *Service) serveOnce(ctx Ctx, slot int, q *quietSweep) bool {
+	admitAt := s.now()
+	s.brownoutEval(admitAt)
 	mine := s.clientsOf(slot)
+	epoch := s.epoch
+	quiet := epoch == q.epoch && admitAt < q.until
+	worked := false
+	if !quiet {
+		worked, mine = s.sweepQueues(ctx, slot, mine)
+	}
+	// CFS pick: group with minimum vruntime, then client within
+	// (§4.5.3).
+	ctx.Exec(cycles.SchedulePick)
+	var c *Client
+	if !quiet || s.epoch != epoch || s.now() >= q.until {
+		c = s.pickClient(mine, s.now())
+	}
+	if c == nil {
+		if !quiet && !worked {
+			*q = quietSweep{epoch, nextTrigger(mine, admitAt)}
+		}
+		return worked || s.inflightDMA > 0
+	}
+	budget := copySlice
+	if s.brownout {
+		// Brownout batches more aggressively: a doubled copy slice
+		// amortizes scheduling and submission costs while the service
+		// digs out of the backlog.
+		budget *= 2
+	}
+	served := s.serveClient(ctx, c, budget)
+	return worked || served || s.inflightDMA > 0
+}
+
+// nextTrigger returns the earliest Deadline, LazyDeadline or retryAt
+// of mine's pending tasks after admitAt, or sim.Infinity. One between
+// admission and pick counts too: the sweep shed and expired before it.
+func nextTrigger(mine []*Client, admitAt sim.Time) sim.Time {
+	until := sim.Infinity
+	for _, c := range mine {
+		for _, t := range c.pending {
+			for _, at := range [...]sim.Time{t.Deadline, t.LazyDeadline, t.retryAt} {
+				if at > admitAt && at < until {
+					until = at
+				}
+			}
+		}
+	}
+	return until
+}
+
+// sweepQueues reclaims dead clients, admits new tasks, serves Sync
+// Queues, finalizes and sheds tasks, and expires lazy tasks over
+// slot's clients mine. Reports whether any work was done, and slot's
+// client list after any teardown.
+func (s *Service) sweepQueues(ctx Ctx, slot int, mine []*Client) (bool, []*Client) {
 	worked := false
 	// Dead clients first: reclaim their state before serving anything
 	// else. Collected first so that clients dying during a teardown's
@@ -828,29 +904,14 @@ func (s *Service) serveOnce(ctx Ctx, slot int) bool {
 		}
 		c.removeExecuted()
 	}
-	// CFS pick: group with minimum vruntime, then client within
-	// (§4.5.3).
-	c := s.pickClient(ctx, mine)
-	if c == nil {
-		return worked || s.inflightDMA > 0
-	}
-	budget := copySlice
-	if s.brownout {
-		// Brownout batches more aggressively: a doubled copy slice
-		// amortizes scheduling and submission costs while the service
-		// digs out of the backlog.
-		budget *= 2
-	}
-	served := s.serveClient(ctx, c, budget)
-	return worked || served || s.inflightDMA > 0
+	return worked, mine
 }
 
-// pickClient implements the two-level CFS-by-copy-length policy.
+// pickClient implements the two-level CFS-by-copy-length policy over
+// the clients runnable at now; the caller charges the SchedulePick.
 //
 //copier:noalloc
-func (s *Service) pickClient(ctx Ctx, mine []*Client) *Client {
-	ctx.Exec(cycles.SchedulePick)
-	now := s.now()
+func (s *Service) pickClient(mine []*Client, now sim.Time) *Client {
 	var bestG *CGroupAccount
 	var bestC *Client
 	for _, c := range mine {
