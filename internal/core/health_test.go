@@ -421,6 +421,8 @@ func TestRetryBudgetDeniesFailureStorm(t *testing.T) {
 	h.svc.SetFaultInjector(fault.New(3).
 		SetRates(fault.SiteDMA, fault.Rates{FailPpm: 1_000_000}).
 		SetRates(fault.SiteCPU, fault.Rates{FailPpm: 1_000_000}))
+	rec := obs.NewRecorder(0)
+	h.env.SetRecorder(rec)
 	const n = 4 << 10
 	var all []*Task
 	for i := 0; i < 300; i++ {
@@ -438,7 +440,7 @@ func TestRetryBudgetDeniesFailureStorm(t *testing.T) {
 	if h.svc.Stats.RetriedChunks < 256 {
 		t.Fatalf("RetriedChunks = %d: denied before the 256-token bucket was spent", h.svc.Stats.RetriedChunks)
 	}
-	denied := int64(0)
+	denied := map[int64]bool{}
 	for i, task := range all {
 		if !task.Executed() {
 			t.Fatalf("task %d never finalized", i)
@@ -447,11 +449,27 @@ func TestRetryBudgetDeniesFailureStorm(t *testing.T) {
 			t.Fatalf("task %d: err = %v, want the engine failure", i, task.Err())
 		}
 		if strings.Contains(task.Err().Error(), "retry denied by budget") {
-			denied++
+			denied[int64(task.ID)] = true
 		}
 	}
-	if denied == 0 || denied > h.svc.Stats.RetryDenied {
-		t.Fatalf("%d tasks failed by the budget, RetryDenied = %d", denied, h.svc.Stats.RetryDenied)
+	if len(denied) == 0 || int64(len(denied)) > h.svc.Stats.RetryDenied {
+		t.Fatalf("%d tasks failed by the budget, RetryDenied = %d", len(denied), h.svc.Stats.RetryDenied)
+	}
+	// Every denial is one retry-budget shed on the task's row, naming
+	// the client and a task the budget failed.
+	var sheds int64
+	rec.Events(func(e *obs.Event) {
+		if e.Kind != obs.EvTaskShed {
+			return
+		}
+		sheds++
+		if e.B != shedRetryBudget || e.Track != "core:tasks" || e.Name != h.c.Name || !denied[e.A] {
+			t.Errorf("shed event %+v: want B=%d on core:tasks for client %q and a denied task",
+				*e, shedRetryBudget, h.c.Name)
+		}
+	})
+	if sheds != h.svc.Stats.RetryDenied {
+		t.Fatalf("%d TaskShed events, RetryDenied = %d", sheds, h.svc.Stats.RetryDenied)
 	}
 	if h.svc.Stats.FailedTasks != int64(len(all)) {
 		t.Fatalf("FailedTasks = %d, want %d", h.svc.Stats.FailedTasks, len(all))

@@ -203,9 +203,9 @@ var idleScenarios = []idleScenario{
 }
 
 // idleReport runs a built world to until, stops the service and
-// drains it, then prints the instant of every task outcome, retry,
-// teardown and brownout edge, any run error (a wedged drain shows as a
-// deadlock), and the final Stats.
+// drains it, then prints the instant, row and layer of every task
+// outcome, retry, teardown and brownout edge, any run error (a wedged
+// drain shows as a deadlock), and the final Stats.
 func idleReport(w io.Writer, env *sim.Env, svc *Service, until sim.Time) {
 	rec := obs.NewRecorder(1 << 12)
 	env.SetRecorder(rec)
@@ -218,7 +218,7 @@ func idleReport(w io.Writer, env *sim.Env, svc *Service, until sim.Time) {
 		switch e.Kind {
 		case obs.EvTaskDispatch, obs.EvTaskComplete, obs.EvTaskFailed, obs.EvTaskShed,
 			obs.EvTaskRetry, obs.EvClientTeardown, obs.EvBrownout:
-			fmt.Fprintf(w, "%9d %-14v %s a=%d b=%d\n", e.T, e.Kind, e.Name, e.A, e.B)
+			fmt.Fprintf(w, "%9d %-14v %-13s %-4v %s a=%d b=%d\n", e.T, e.Kind, e.Track, e.Layer, e.Name, e.A, e.B)
 		}
 	})
 	if err != nil {
