@@ -155,10 +155,7 @@ func (c *Client) SubmitCopy(t *Task, kmode bool) bool {
 	if !q.Copy.Push(t) {
 		return false
 	}
-	if r := c.svc.env.Recorder(); r != nil {
-		r.Emit(obs.Event{T: int64(c.svc.now()), Kind: obs.EvTaskSubmit, Layer: obs.LayerCore,
-			Track: "core:tasks", Name: c.Name, A: int64(t.ID), B: int64(t.Len)})
-	}
+	c.svc.env.Recorder().At(obs.EvTaskSubmit, int64(c.svc.now()), c.Name, int64(t.ID), int64(t.Len))
 	c.svc.doorbell(c)
 	return true
 }
@@ -347,10 +344,7 @@ func (c *Client) admitTask(t *Task, svc *Service) {
 	c.pending = append(c.pending, t)
 	c.backlogBytes += int64(t.Len)
 	svc.backlogBytes += int64(t.Len)
-	if r := svc.env.Recorder(); r != nil {
-		r.Emit(obs.Event{T: int64(t.enqueuedAt), Kind: obs.EvQueueDepthSample, Layer: obs.LayerCore,
-			Track: "core:backlog", Name: c.Name, A: int64(c.ID), B: int64(len(c.pending))})
-	}
+	svc.env.Recorder().At(obs.EvQueueDepthSample, int64(t.enqueuedAt), c.Name, int64(c.ID), int64(len(c.pending)))
 }
 
 // removeExecuted compacts the pending list, dropping executed and

@@ -159,7 +159,16 @@ func (s *Service) executeWithDeps(ctx Ctx, c *Client, t *Task, lo, hi units.Byte
 	if depth > 64 {
 		panic("core: dependency chain too deep")
 	}
-	// Snapshot dependencies first: executing them compacts c.pending.
+	s.runDeps(ctx, c, t, depth+1)
+	reqs := [1]execReq{{t, lo, hi}}
+	s.executeBatch(ctx, c, reqs[:])
+}
+
+// runDeps executes, whole and at chain depth depth, every earlier
+// pending copy task t depends on, and waits out each one's outstanding
+// DMA so t's write cannot race it. The dependencies are snapshotted
+// first: executing them compacts c.pending.
+func (s *Service) runDeps(ctx Ctx, c *Client, t *Task, depth int) {
 	var deps []*Task
 	for _, p := range c.pending {
 		if p.orderIdx >= t.orderIdx || p.executed || p.aborted || p.Kind != KindCopy {
@@ -171,12 +180,9 @@ func (s *Service) executeWithDeps(ctx Ctx, c *Client, t *Task, lo, hi units.Byte
 		}
 	}
 	for _, p := range deps {
-		s.executeWithDeps(ctx, c, p, 0, p.Len, depth+1)
-		// Our write must not race an outstanding DMA of the dep.
+		s.executeWithDeps(ctx, c, p, 0, p.Len, depth)
 		s.awaitInFlight(ctx, p)
 	}
-	reqs := [1]execReq{{t, lo, hi}}
-	s.executeBatch(ctx, c, reqs[:])
 }
 
 // dependsOn reports whether t must wait for earlier pending task p:
@@ -229,10 +235,8 @@ func (s *Service) executeBatch(ctx Ctx, c *Client, reqs []execReq) {
 		if r.t.executed || r.t.aborted || r.t.pendingErr != nil {
 			continue
 		}
-		if rec := s.env.Recorder(); rec != nil && !r.t.dispatched {
-			now := int64(s.now())
-			rec.Emit(obs.Event{T: now, Kind: obs.EvTaskDispatch, Layer: obs.LayerCore,
-				Track: "core:tasks", Name: c.Name, A: int64(r.t.ID), B: now - int64(r.t.enqueuedAt)})
+		if !r.t.dispatched {
+			s.env.Recorder().At(obs.EvTaskDispatch, int64(s.now()), c.Name, int64(r.t.ID), int64(s.now()-r.t.enqueuedAt))
 		}
 		r.t.dispatched = true
 		mark := len(chunks)
@@ -311,10 +315,7 @@ func (s *Service) noteFailure(t *Task, err error) {
 		if t.pendingErr == nil {
 			t.pendingErr = fmt.Errorf("core: task %d retry denied by budget: %w", t.ID, err)
 		}
-		if rec := s.env.Recorder(); rec != nil {
-			rec.Emit(obs.Event{T: int64(s.now()), Kind: obs.EvTaskShed, Layer: obs.LayerCore,
-				Track: "core:tasks", Name: t.Client.Name, A: int64(t.ID), B: shedRetryBudget})
-		}
+		s.env.Recorder().At(obs.EvTaskShed, int64(s.now()), t.Client.Name, int64(t.ID), shedRetryBudget)
 		return
 	}
 	shift := uint(t.retries - 1)
@@ -323,10 +324,7 @@ func (s *Service) noteFailure(t *Task, err error) {
 	}
 	t.retryAt = s.now() + retryBackoff<<shift
 	s.Stats.RetriedChunks++
-	if rec := s.env.Recorder(); rec != nil {
-		rec.Emit(obs.Event{T: int64(s.now()), Kind: obs.EvTaskRetry, Layer: obs.LayerCore,
-			Track: "core:tasks", Name: t.Client.Name, A: int64(t.ID), B: int64(t.retries)})
-	}
+	s.env.Recorder().At(obs.EvTaskRetry, int64(s.now()), t.Client.Name, int64(t.ID), int64(t.retries))
 }
 
 // prepare resolves sources, proactively handles faults, pins pages and
@@ -564,10 +562,7 @@ func (s *Service) faultAndPin(ctx Ctx, as *mem.AddrSpace, va mem.VA, n units.Byt
 			// writable entry (CoW/read-only pages never cache as
 			// writable, and mapping changes invalidate).
 			if _, ok := s.at.lookup(as, vpn, write); ok {
-				if rec := s.env.Recorder(); rec != nil {
-					rec.Emit(obs.Event{T: int64(s.now()), Kind: obs.EvATCacheHit, Layer: obs.LayerCore,
-						Track: "core:atcache", Name: "hit", A: int64(vpn)})
-				}
+				s.env.Recorder().At(obs.EvATCacheHit, int64(s.now()), "hit", int64(vpn), 0)
 				ctx.Exec(cycles.ATCacheHit)
 				if pinning {
 					if err := as.Pin(pva, 1); err != nil {
@@ -581,10 +576,7 @@ func (s *Service) faultAndPin(ctx Ctx, as *mem.AddrSpace, va mem.VA, n units.Byt
 			}
 		}
 		if s.cfg.EnableATCache {
-			if rec := s.env.Recorder(); rec != nil {
-				rec.Emit(obs.Event{T: int64(s.now()), Kind: obs.EvATCacheMiss, Layer: obs.LayerCore,
-					Track: "core:atcache", Name: "miss", A: int64(vpn)})
-			}
+			s.env.Recorder().At(obs.EvATCacheMiss, int64(s.now()), "miss", int64(vpn), 0)
 		}
 		ctx.Exec(cycles.PageWalk)
 		kind := as.Classify(pva, write)
@@ -733,11 +725,7 @@ func (s *Service) dispatch(ctx Ctx, c *Client, all []chunk) {
 		// engines until it passes.
 		useDMA = false
 		s.Stats.FallbackBytes += int64(total)
-		if rec := s.env.Recorder(); rec != nil {
-			rec.Emit(obs.Event{T: int64(s.now()), Kind: obs.EvEngineFallback, Layer: obs.LayerCore,
-				Track: "core:tasks", Name: all[0].task.Client.Name,
-				A: int64(all[0].task.ID), B: int64(total)})
-		}
+		s.env.Recorder().At(obs.EvEngineFallback, int64(s.now()), all[0].task.Client.Name, int64(all[0].task.ID), int64(total))
 	}
 	if useDMA {
 		// Walk from the back, greedily moving DMA-eligible chunks to
@@ -808,10 +796,7 @@ func (s *Service) dispatch(ctx Ctx, c *Client, all []chunk) {
 					// its cycles but no bytes land; the segment stays
 					// un-issued and the task backs off.
 					s.Stats.CPUFaults++
-					if rec := s.env.Recorder(); rec != nil {
-						rec.Emit(obs.Event{T: int64(s.now()), Kind: obs.EvFaultInjected,
-							Layer: obs.LayerHW, Track: cpuTrack, Name: "fault", A: int64(piece), B: 1})
-					}
+					s.env.Recorder().On(cpuTrack, obs.EvFaultInjected, int64(s.now()), 0, "fault", int64(piece), 1)
 					ctx.Exec(s.cpuCopyCost(ch, piece))
 					s.noteFailure(ch.task, hw.ErrEngine)
 					off += piece
@@ -819,18 +804,12 @@ func (s *Service) dispatch(ctx Ctx, c *Client, all []chunk) {
 				}
 			}
 			cost := s.cpuCopyCost(ch, piece) + cycles.SegmentUpdate
-			if rec := s.env.Recorder(); rec != nil {
-				rec.Emit(obs.Event{T: int64(s.now()), Dur: int64(cost), Kind: obs.EvUnitBusyInterval,
-					Layer: obs.LayerHW, Track: cpuTrack, Name: "copy", A: int64(piece)})
-			}
+			s.env.Recorder().On(cpuTrack, obs.EvUnitBusyInterval, int64(s.now()), int64(cost), "copy", int64(piece), 0)
 			ctx.Exec(cost)
 			hw.CopyRange(s.pm, subRange(ch.dst, off, piece), subRange(ch.src, off, piece))
 			s.Stats.AVXBytes += int64(piece)
 			s.account(ch.task.Client, piece)
-			if rec := s.env.Recorder(); rec != nil {
-				rec.Emit(obs.Event{T: int64(s.now()), Kind: obs.EvSegmentDone, Layer: obs.LayerCore,
-					Track: "core:segments", Name: ch.task.Client.Name, A: int64(ch.task.ID), B: int64(piece)})
-			}
+			s.env.Recorder().At(obs.EvSegmentDone, int64(s.now()), ch.task.Client.Name, int64(ch.task.ID), int64(piece))
 			ch.task.issued.MarkRange(taskOff, piece)
 			if ch.task.Desc != nil {
 				ch.task.Desc.MarkRange(taskOff, piece)
@@ -872,10 +851,7 @@ func (s *Service) dmaDone(env *sim.Env, eng int, ch chunk, err error) {
 	} else {
 		s.account(ch.task.Client, ch.length)
 		s.markChunk(ch)
-		if rec := env.Recorder(); rec != nil {
-			rec.Emit(obs.Event{T: int64(env.Now()), Kind: obs.EvSegmentDone, Layer: obs.LayerCore,
-				Track: "core:segments", Name: ch.task.Client.Name, A: int64(ch.task.ID), B: int64(ch.length)})
-		}
+		env.Recorder().At(obs.EvSegmentDone, int64(env.Now()), ch.task.Client.Name, int64(ch.task.ID), int64(ch.length))
 	}
 	ch.task.Client.Progress.Broadcast(env)
 	if ch.task.Desc != nil {
@@ -964,11 +940,7 @@ func (s *Service) dispatchDMASharded(ctx Ctx, c *Client, all []chunk, dmaSet []b
 	c.engBuf = eng
 	if fellBack > 0 {
 		s.Stats.FallbackBytes += int64(fellBack)
-		if rec := s.env.Recorder(); rec != nil {
-			rec.Emit(obs.Event{T: int64(now), Kind: obs.EvEngineFallback, Layer: obs.LayerCore,
-				Track: "core:tasks", Name: all[0].task.Client.Name,
-				A: int64(all[0].task.ID), B: int64(fellBack)})
-		}
+		s.env.Recorder().At(obs.EvEngineFallback, int64(now), all[0].task.Client.Name, int64(all[0].task.ID), int64(fellBack))
 	}
 	for e := range s.dmas {
 		var b *dmaBatch
@@ -1098,11 +1070,7 @@ func (s *Service) finishTask(ctx Ctx, c *Client, t *Task) {
 	// (ctx.Exec): a csync_all caller observing executed==true must
 	// also find the FUNC already delegated.
 	t.executed = true
-	if rec := s.env.Recorder(); rec != nil {
-		now := int64(s.now())
-		rec.Emit(obs.Event{T: now, Kind: obs.EvTaskComplete, Layer: obs.LayerCore,
-			Track: "core:tasks", Name: c.Name, A: int64(t.ID), B: now - int64(t.enqueuedAt)})
-	}
+	s.env.Recorder().At(obs.EvTaskComplete, int64(s.now()), c.Name, int64(t.ID), int64(s.now()-t.enqueuedAt))
 	c.backlogBytes -= int64(t.Len)
 	s.backlogBytes -= int64(t.Len)
 	s.Stats.TasksExecuted++
@@ -1139,10 +1107,7 @@ func (s *Service) failTask(ctx Ctx, c *Client, t *Task, err error) {
 	c.backlogBytes -= int64(t.Len)
 	s.backlogBytes -= int64(t.Len)
 	s.Stats.FailedTasks++
-	if rec := s.env.Recorder(); rec != nil {
-		rec.Emit(obs.Event{T: int64(s.now()), Kind: obs.EvTaskFailed, Layer: obs.LayerCore,
-			Track: "core:tasks", Name: c.Name, A: int64(t.ID), B: int64(t.retries)})
-	}
+	s.env.Recorder().At(obs.EvTaskFailed, int64(s.now()), c.Name, int64(t.ID), int64(t.retries))
 	c.Progress.Broadcast(ctx.Env())
 	c.removeExecuted()
 }

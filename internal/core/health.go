@@ -89,10 +89,7 @@ type engineHealth struct {
 //
 //copier:noalloc
 func (s *Service) emitHealth(e int, st EngineState) {
-	if rec := s.env.Recorder(); rec != nil {
-		rec.Emit(obs.Event{T: int64(s.now()), Kind: obs.EvEngineHealth, Layer: obs.LayerCore,
-			Track: "core:health", Name: engineStateNames[st], A: int64(e), B: int64(st)})
-	}
+	s.env.Recorder().At(obs.EvEngineHealth, int64(s.now()), engineStateNames[st], int64(e), int64(st))
 }
 
 // noteEngineOutcome feeds one DMA completion outcome from engine e
@@ -249,10 +246,7 @@ func (s *Service) brownoutEval(now sim.Time) {
 				s.brownout = true
 				s.pressureSince = 0
 				s.Stats.BrownoutEntries++
-				if rec := s.env.Recorder(); rec != nil {
-					rec.Emit(obs.Event{T: int64(now), Kind: obs.EvBrownout, Layer: obs.LayerCore,
-						Track: "core:brownout", Name: "enter", A: 1, B: s.backlogBytes})
-				}
+				s.env.Recorder().At(obs.EvBrownout, int64(now), "enter", 1, s.backlogBytes)
 			}
 		} else {
 			s.pressureSince = 0
@@ -266,10 +260,7 @@ func (s *Service) brownoutEval(now sim.Time) {
 		if now-s.calmSince >= brownoutDwell {
 			s.brownout = false
 			s.calmSince = 0
-			if rec := s.env.Recorder(); rec != nil {
-				rec.Emit(obs.Event{T: int64(now), Kind: obs.EvBrownout, Layer: obs.LayerCore,
-					Track: "core:brownout", Name: "exit", A: 0, B: s.backlogBytes})
-			}
+			s.env.Recorder().At(obs.EvBrownout, int64(now), "exit", 0, s.backlogBytes)
 		}
 	} else {
 		s.calmSince = 0
@@ -302,29 +293,16 @@ func (s *Service) rejectAdmission(c *Client, t *Task) bool {
 		t.Desc.Err = ErrOverload
 		t.Desc.NotifyProgress(s.env)
 	}
-	if rec := s.env.Recorder(); rec != nil {
-		rec.Emit(obs.Event{T: int64(s.now()), Kind: obs.EvTaskShed, Layer: obs.LayerCore,
-			Track: "core:tasks", Name: c.Name, A: int64(t.ID), B: reason})
-	}
+	s.env.Recorder().At(obs.EvTaskShed, int64(s.now()), c.Name, int64(t.ID), reason)
 	c.Progress.Broadcast(s.env)
 	return true
 }
 
-// shedTask finalizes a task dropped by deadline-aware shedding: the
-// EvTaskShed record plus the ordinary definite-failure path (error on
-// the descriptor, waiters woken, pins released).
-func (s *Service) shedTask(ctx Ctx, c *Client, t *Task, err error, reason int64) {
-	switch reason {
-	case shedDeadline:
-		s.Stats.DeadlineShed++
-	case shedOverload:
-		s.Stats.OverloadShed++
-	case shedBrownout:
-		s.Stats.BrownoutShed++
-	}
-	if rec := s.env.Recorder(); rec != nil {
-		rec.Emit(obs.Event{T: int64(s.now()), Kind: obs.EvTaskShed, Layer: obs.LayerCore,
-			Track: "core:tasks", Name: c.Name, A: int64(t.ID), B: reason})
-	}
-	s.failTask(ctx, c, t, err)
+// shedLate finalizes a task dropped by deadline-aware shedding: the
+// EvTaskShed record plus the ordinary definite-failure path
+// (ErrDeadline on the descriptor, waiters woken, pins released).
+func (s *Service) shedLate(ctx Ctx, c *Client, t *Task) {
+	s.Stats.DeadlineShed++
+	s.env.Recorder().At(obs.EvTaskShed, int64(s.now()), c.Name, int64(t.ID), shedDeadline)
+	s.failTask(ctx, c, t, ErrDeadline)
 }

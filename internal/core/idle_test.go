@@ -218,7 +218,7 @@ func idleReport(w io.Writer, env *sim.Env, svc *Service, until sim.Time) {
 		switch e.Kind {
 		case obs.EvTaskDispatch, obs.EvTaskComplete, obs.EvTaskFailed, obs.EvTaskShed,
 			obs.EvTaskRetry, obs.EvClientTeardown, obs.EvBrownout:
-			fmt.Fprintf(w, "%9d %-14v %-13s %-4v %s a=%d b=%d\n", e.T, e.Kind, e.Track, e.Layer, e.Name, e.A, e.B)
+			fmt.Fprintf(w, "%9d %-14v %-13s %-4v %s a=%d b=%d\n", e.T, e.Kind, e.Track, e.Kind.Layer(), e.Name, e.A, e.B)
 		}
 	})
 	if err != nil {

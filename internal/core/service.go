@@ -502,25 +502,15 @@ func (s *Service) teardownClient(ctx Ctx, c *Client) {
 	// Drain every CSH ring, freeing the slots. Queued-but-unadmitted
 	// copy tasks never pinned anything — they are simply dropped.
 	for _, q := range []*QueueSet{c.K, c.U} {
-		for {
-			n := q.Copy.PopN(c.popBuf[:])
-			if n == 0 {
-				break
-			}
-			ctx.Exec(popCost(n))
-			for i := 0; i < n; i++ {
-				if c.popBuf[i].Kind == KindCopy {
-					reclaimed++
-				}
-				c.popBuf[i] = nil
-			}
-		}
+		reclaimed += c.drainForTeardown(ctx, q.Copy)
 		for q.Sync.Pop() != nil {
 			ctx.Exec(cycles.TaskPop)
 		}
 	}
 	if c.Shards != nil {
-		reclaimed += c.drainShardsForTeardown(ctx)
+		for _, r := range c.Shards.rings {
+			reclaimed += c.drainForTeardown(ctx, r)
+		}
 	}
 	// Abort every admitted task: outstanding DMA still addresses the
 	// pinned frames, so wait it out before dropping the pins.
@@ -555,12 +545,28 @@ func (s *Service) teardownClient(ctx Ctx, c *Client) {
 	c.U.handlers = nil
 	s.Stats.ClientTeardowns++
 	s.Stats.ReclaimedTasks += int64(reclaimed)
-	if rec := s.env.Recorder(); rec != nil {
-		rec.Emit(obs.Event{T: int64(s.now()), Kind: obs.EvClientTeardown, Layer: obs.LayerCore,
-			Track: "core:clients", Name: c.Name, A: int64(c.ID), B: int64(reclaimed)})
-	}
+	s.env.Recorder().At(obs.EvClientTeardown, int64(s.now()), c.Name, int64(c.ID), int64(reclaimed))
 	c.Progress.Broadcast(ctx.Env())
 	s.CloseClient(c)
+}
+
+// drainForTeardown empties one copy ring of a dead client in PopN
+// batches, returning how many queued copy tasks it reclaimed.
+func (c *Client) drainForTeardown(ctx Ctx, r *Ring) int {
+	reclaimed := 0
+	for {
+		n := r.PopN(c.popBuf[:])
+		if n == 0 {
+			return reclaimed
+		}
+		ctx.Exec(popCost(n))
+		for i := 0; i < n; i++ {
+			if c.popBuf[i].Kind == KindCopy {
+				reclaimed++
+			}
+			c.popBuf[i] = nil
+		}
+	}
 }
 
 // CloseClient unregisters a client.
@@ -852,7 +858,7 @@ func (s *Service) sweepQueues(ctx Ctx, slot int, mine []*Client) (bool, []*Clien
 	// Finish tasks whose outstanding DMA completed since last sweep,
 	// finalize tasks whose retries are exhausted, and shed admitted
 	// tasks already past their SLO deadline before any engine touches
-	// them (failTask/shedTask mutate the pending list, so both sets
+	// them (failTask/shedLate mutate the pending list, so both sets
 	// are collected first).
 	dnow := s.now()
 	for _, c := range mine {
@@ -883,7 +889,7 @@ func (s *Service) sweepQueues(ctx Ctx, slot int, mine []*Client) (bool, []*Clien
 			worked = true
 		}
 		for _, t := range late {
-			s.shedTask(ctx, c, t, ErrDeadline, shedDeadline)
+			s.shedLate(ctx, c, t)
 			worked = true
 		}
 		c.removeExecuted()
@@ -1009,8 +1015,9 @@ func (s *Service) serveClient(ctx Ctx, c *Client, budget units.Bytes) bool {
 			fused += t.Len
 		}
 		c.batchBuf = batch
-		// Dependencies of the head must still run first.
-		s.resolveHeadDeps(ctx, c, head)
+		// Dependencies of the head must still run first: the batch
+		// bypasses executeWithDeps.
+		s.runDeps(ctx, c, head, 0)
 		reqs := c.reqBuf[:0]
 		for _, b := range batch {
 			reqs = append(reqs, execReq{b, 0, b.Len})
@@ -1055,26 +1062,6 @@ outer:
 	return false
 }
 
-// resolveHeadDeps executes any earlier tasks the head truly depends
-// on (it is about to run as part of a batch, bypassing
-// executeWithDeps).
-func (s *Service) resolveHeadDeps(ctx Ctx, c *Client, t *Task) {
-	var deps []*Task
-	for _, p := range c.pending {
-		if p.orderIdx >= t.orderIdx || p.executed || p.aborted || p.Kind != KindCopy {
-			continue
-		}
-		ctx.Exec(cycles.DependencyCheck)
-		if s.dependsOn(p, t) {
-			deps = append(deps, p)
-		}
-	}
-	for _, p := range deps {
-		s.executeWithDeps(ctx, c, p, 0, p.Len, 0)
-		s.awaitInFlight(ctx, p)
-	}
-}
-
 // serveSyncQueue drains one Sync Queue, promoting or aborting tasks.
 func (s *Service) serveSyncQueue(ctx Ctx, c *Client, kmode bool) bool {
 	q := c.U
@@ -1115,9 +1102,9 @@ func (s *Service) promote(ctx Ctx, c *Client, addr mem.VA, n units.Bytes) {
 		if t.executed || t.aborted || t.Kind != KindCopy {
 			continue
 		}
-		if t.Desc != nil && overlapsVA(t.Desc.Base, t.Desc.Len, addr, n) {
+		if t.Desc != nil && RangesOverlap(t.Desc.Base, t.Desc.Len, addr, n) {
 			targets = append(targets, t)
-		} else if overlapsVA(t.Dst, t.Len, addr, n) {
+		} else if RangesOverlap(t.Dst, t.Len, addr, n) {
 			targets = append(targets, t)
 		}
 	}
@@ -1147,10 +1134,6 @@ func (s *Service) promote(ctx Ctx, c *Client, addr mem.VA, n units.Bytes) {
 	c.removeExecuted()
 }
 
-func overlapsVA(a mem.VA, an units.Bytes, b mem.VA, bn units.Bytes) bool {
-	return overlaps(a, an, b, bn)
-}
-
 // abort discards still-queued Copy Tasks — the one bound to the
 // abort's descriptor, or those whose destination intersects
 // [addr, addr+n) (§4.4).
@@ -1164,7 +1147,7 @@ func (s *Service) abort(ctx Ctx, c *Client, st *Task) {
 		if st.AbortDesc != nil {
 			match = t.Desc == st.AbortDesc
 		} else {
-			match = overlapsVA(t.Dst, t.Len, st.Addr, st.SyncLen)
+			match = RangesOverlap(t.Dst, t.Len, st.Addr, st.SyncLen)
 		}
 		if match {
 			// Outstanding DMA may still address the pinned pages:

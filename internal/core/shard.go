@@ -83,10 +83,7 @@ func (c *Client) SubmitCopyOn(core int, t *Task) bool {
 	if !c.Shards.rings[core].Push(t) {
 		return false
 	}
-	if r := c.svc.env.Recorder(); r != nil {
-		r.Emit(obs.Event{T: int64(c.svc.now()), Kind: obs.EvTaskSubmit, Layer: obs.LayerCore,
-			Track: "core:tasks", Name: c.Name, A: int64(t.ID), B: int64(t.Len)})
-	}
+	c.svc.env.Recorder().At(obs.EvTaskSubmit, int64(c.svc.now()), c.Name, int64(t.ID), int64(t.Len))
 	c.svc.doorbell(c)
 	return true
 }
@@ -119,26 +116,4 @@ func (c *Client) admitShards(ctx Ctx, svc *Service) bool {
 		}
 	}
 	return progressed
-}
-
-// drainShardsForTeardown empties the per-core rings of a dead client,
-// returning how many queued copy tasks were reclaimed.
-func (c *Client) drainShardsForTeardown(ctx Ctx) int {
-	reclaimed := 0
-	for _, r := range c.Shards.rings {
-		for {
-			n := r.PopN(c.popBuf[:])
-			if n == 0 {
-				break
-			}
-			ctx.Exec(popCost(n))
-			for i := 0; i < n; i++ {
-				if c.popBuf[i].Kind == KindCopy {
-					reclaimed++
-				}
-				c.popBuf[i] = nil
-			}
-		}
-	}
-	return reclaimed
 }

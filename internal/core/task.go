@@ -205,28 +205,23 @@ func (t *Task) Executed() bool { return t.executed }
 // Aborted reports whether an abort Sync Task discarded the task.
 func (t *Task) Aborted() bool { return t.aborted }
 
-// overlaps reports whether two address ranges in the same address
-// space intersect.
-func overlaps(a mem.VA, an units.Bytes, b mem.VA, bn units.Bytes) bool {
+// RangesOverlap reports whether [a, a+an) and [b, b+bn), two ranges in
+// one address space, intersect. An empty range overlaps nothing.
+func RangesOverlap(a mem.VA, an units.Bytes, b mem.VA, bn units.Bytes) bool {
 	if an <= 0 || bn <= 0 {
 		return false
 	}
 	return a < b+mem.VA(bn) && b < a+mem.VA(an)
 }
 
-// RangesOverlap reports whether [a, a+an) and [b, b+bn) intersect.
-func RangesOverlap(a mem.VA, an units.Bytes, b mem.VA, bn units.Bytes) bool {
-	return overlaps(a, an, b, bn)
-}
-
 // dstOverlap reports whether task t's destination overlaps range
 // [a, a+n) in address space as.
 func (t *Task) dstOverlap(as *mem.AddrSpace, a mem.VA, n units.Bytes) bool {
-	return t.DstAS == as && overlaps(t.Dst, t.Len, a, n)
+	return t.DstAS == as && RangesOverlap(t.Dst, t.Len, a, n)
 }
 
 // srcOverlap reports whether task t's source overlaps range [a, a+n)
 // in address space as.
 func (t *Task) srcOverlap(as *mem.AddrSpace, a mem.VA, n units.Bytes) bool {
-	return t.SrcAS == as && overlaps(t.Src, t.Len, a, n)
+	return t.SrcAS == as && RangesOverlap(t.Src, t.Len, a, n)
 }

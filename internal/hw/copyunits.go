@@ -1,11 +1,9 @@
-// Package hw models the machine's copy hardware: CPU copy engines
-// (AVX2 for user context, ERMS for kernel context) and an on-chip DMA
-// channel in the style of Intel I/OAT. It also provides the
-// set-associative cache model used for the §6.3.5 microarchitectural
-// study.
-//
-// Copies move real bytes between simulated physical frames and charge
-// virtual time from the calibrated cost model in internal/cycles.
+// Package hw models the machine's copy hardware: the byte movement
+// every copy engine shares (CopyScatter, CopyRange) and an on-chip DMA
+// channel in the style of Intel I/OAT, which charges its background
+// transfer time from the calibrated cost model in internal/cycles. It
+// also provides the set-associative cache model used for the §6.3.5
+// microarchitectural study.
 package hw
 
 import (
@@ -109,57 +107,11 @@ func TotalLen(rs []FrameRange) units.Bytes {
 	return n
 }
 
-// CPUEngine is a synchronous copy engine executing on the calling
-// process's (virtual) CPU time: AVX2 in user/Copier context, ERMS in
-// kernel context.
-type CPUEngine struct {
-	pm   *mem.PhysMem
-	unit cycles.Unit
-	// BytesCopied accumulates for experiment accounting.
-	BytesCopied int64
-}
-
-// NewCPUEngine returns an engine using the given unit's cost model.
-// unit must be UnitAVX or UnitERMS.
-func NewCPUEngine(pm *mem.PhysMem, unit cycles.Unit) *CPUEngine {
-	if unit == cycles.UnitDMA {
-		panic("hw: CPU engine cannot use the DMA cost model")
-	}
-	return &CPUEngine{pm: pm, unit: unit}
-}
-
-// track names the engine's timeline row in the observability layer.
-func (e *CPUEngine) track() string {
-	if e.unit == cycles.UnitERMS {
-		return "hw:ERMS"
-	}
-	return "hw:AVX"
-}
-
-// Copy synchronously moves the scatter lists, charging startup plus
-// transfer time to p, and returns the cycles consumed.
-func (e *CPUEngine) Copy(p *sim.Proc, dst, src []FrameRange) sim.Time {
-	n := CopyScatter(e.pm, dst, src)
-	e.BytesCopied += int64(n)
-	cost := cycles.SyncCopyCost(e.unit, n)
-	if r := p.Env().Recorder(); r != nil {
-		r.Emit(obs.Event{T: int64(p.Now()), Dur: int64(cost), Kind: obs.EvUnitBusyInterval,
-			Layer: obs.LayerHW, Track: e.track(), Name: "sync-copy", A: int64(n)})
-	}
-	p.Wait(cost)
-	return cost
-}
-
-// CopyCost reports what Copy would charge for n bytes without
-// performing it.
-func (e *CPUEngine) CopyCost(n units.Bytes) sim.Time { return cycles.SyncCopyCost(e.unit, n) }
-
 // DMARequest tracks one in-flight DMA descriptor.
 type DMARequest struct {
 	dst, src FrameRange
 	// CompleteAt is when the engine finishes this transfer.
 	CompleteAt sim.Time
-	done       bool
 	// Err is non-nil when the descriptor completed with a transient
 	// engine failure (only Copied bytes landed).
 	Err error
@@ -172,9 +124,6 @@ type DMARequest struct {
 	partial int
 	perm    bool
 }
-
-// Done reports whether the transfer has completed (data visible).
-func (r *DMARequest) Done() bool { return r.done }
 
 // complete performs the descriptor's data movement, honoring an
 // injected failure: a clean descriptor moves everything; a failed one
@@ -191,7 +140,6 @@ func (r *DMARequest) complete(pm *mem.PhysMem) units.Bytes {
 		n = CopyScatter(pm, []FrameRange{dst}, []FrameRange{src})
 	}
 	r.Copied = n
-	r.done = true
 	return n
 }
 
@@ -208,7 +156,6 @@ func (d *DMAChannel) completeOn(r *DMARequest) units.Bytes {
 	if d.dead {
 		r.Err = ErrEngineDead
 		r.Copied = 0
-		r.done = true
 		return 0
 	}
 	return r.complete(d.pm)
@@ -302,10 +249,7 @@ func (d *DMAChannel) decideFault(req *DMARequest, n units.Bytes) sim.Time {
 	if o.Perm {
 		code |= 4
 	}
-	if r := d.env.Recorder(); r != nil {
-		r.Emit(obs.Event{T: int64(d.env.Now()), Kind: obs.EvFaultInjected, Layer: obs.LayerHW,
-			Track: d.track, Name: "fault", A: int64(n), B: code})
-	}
+	d.env.Recorder().On(d.track, obs.EvFaultInjected, int64(d.env.Now()), 0, "fault", int64(n), code)
 	return sim.Time(o.Stall)
 }
 
@@ -356,34 +300,6 @@ func (d *DMAChannel) xferDur(dst, src FrameRange) sim.Time {
 // engine steering compares across engines.
 func (d *DMAChannel) XferCost(dst, src FrameRange) sim.Time { return d.xferDur(dst, src) }
 
-// Submit enqueues one descriptor, charging the submission cost to p.
-// dst and src must be physically contiguous ranges of equal length.
-// The copy completes in background time; data becomes visible at
-// completion.
-func (d *DMAChannel) Submit(p *sim.Proc, dst, src FrameRange) *DMARequest {
-	if dst.Len != src.Len {
-		panic(fmt.Sprintf("hw: DMA length mismatch %d != %d", dst.Len, src.Len))
-	}
-	p.Wait(cycles.DMASubmit)
-	return d.submitAt(dst, src)
-}
-
-// SubmitBatch enqueues several descriptors with one doorbell: the
-// first descriptor pays full submission cost, the rest a quarter
-// (descriptor writes without the MMIO doorbell).
-func (d *DMAChannel) SubmitBatch(p *sim.Proc, pairs [][2]FrameRange) []*DMARequest {
-	if len(pairs) == 0 {
-		return nil
-	}
-	cost := sim.Time(cycles.DMASubmit) + sim.Time(len(pairs)-1)*cycles.DMASubmit/4
-	p.Wait(cost)
-	out := make([]*DMARequest, len(pairs))
-	for i, pr := range pairs {
-		out[i] = d.submitAt(pr[0], pr[1])
-	}
-	return out
-}
-
 // dmaBatch carries one EnqueueBatch submission through its completion
 // walk: the descriptor arena, the cursor, and the pre-bound step
 // closure. Carriers are recycled through the channel's pool once the
@@ -432,8 +348,7 @@ func (d *DMAChannel) getBatch() *dmaBatch {
 // The channel drains its queue FIFO, so completion is driven by a
 // single live event that walks the batch in order: each step performs
 // the descriptor's data movement (possibly partial under an injected
-// fault), marks the request done, invokes onDone(i, err) and
-// reschedules itself for the next descriptor — one event in the heap
+// fault), invokes onDone(i, err) and reschedules itself for the next descriptor — one event in the heap
 // per batch instead of one per descriptor. err is nil on success and
 // ErrEngine when the fault layer failed the descriptor. pairs is
 // copied into the carrier's arena during the call; the caller may
@@ -464,64 +379,16 @@ func (d *DMAChannel) EnqueueBatch(pairs [][2]FrameRange, onDone func(i int, err 
 		dur := d.xferDur(dst, src) + d.decideFault(req, src.Len)
 		req.CompleteAt = start + dur
 		d.BusyCycles += int64(dur)
-		if r != nil {
-			r.Emit(obs.Event{T: int64(now), Kind: obs.EvDMASubmit, Layer: obs.LayerHW,
-				Track: d.track, Name: "submit", A: int64(src.Len)})
-			r.Emit(obs.Event{T: int64(start), Dur: int64(dur), Kind: obs.EvUnitBusyInterval,
-				Layer: obs.LayerHW, Track: d.track, Name: "xfer", A: int64(src.Len)})
-		}
+		r.On(d.track, obs.EvDMASubmit, int64(now), 0, "submit", int64(src.Len), 0)
+		// The channel drains its queue in order: the transfer occupies
+		// [start, start+dur), possibly beginning in the future.
+		r.On(d.track, obs.EvUnitBusyInterval, int64(start), int64(dur), "xfer", int64(src.Len), 0)
 		start = req.CompleteAt
 	}
 	b.reqs = reqs
 	d.busyUntil = start
 	d.Submitted += int64(len(pairs))
 	d.env.Schedule(reqs[0].CompleteAt-now, b.step)
-}
-
-func (d *DMAChannel) submitAt(dst, src FrameRange) *DMARequest {
-	now := d.env.Now()
-	start := d.busyUntil
-	if start < now {
-		start = now
-	}
-	req := &DMARequest{dst: dst, src: src}
-	dur := d.xferDur(dst, src) + d.decideFault(req, src.Len)
-	req.CompleteAt = start + dur
-	d.busyUntil = req.CompleteAt
-	d.Submitted++
-	d.BusyCycles += int64(dur)
-	if r := d.env.Recorder(); r != nil {
-		r.Emit(obs.Event{T: int64(now), Kind: obs.EvDMASubmit, Layer: obs.LayerHW,
-			Track: d.track, Name: "submit", A: int64(src.Len)})
-		// The channel drains its queue in order: the transfer occupies
-		// [start, start+dur), possibly beginning in the future.
-		r.Emit(obs.Event{T: int64(start), Dur: int64(dur), Kind: obs.EvUnitBusyInterval,
-			Layer: obs.LayerHW, Track: d.track, Name: "xfer", A: int64(src.Len)})
-	}
-	d.env.Schedule(req.CompleteAt-now, func() {
-		d.BytesCopied += int64(d.completeOn(req))
-	})
-	return req
-}
-
-// WaitFor polls until req completes, charging completion-check cycles;
-// it returns the cycles spent polling.
-func (d *DMAChannel) WaitFor(p *sim.Proc, req *DMARequest) sim.Time {
-	var spent sim.Time
-	for !req.done {
-		// Sleep until the known completion time if it is in the
-		// future; otherwise poll.
-		now := p.Now()
-		if req.CompleteAt > now {
-			p.Wait(req.CompleteAt - now)
-			spent += req.CompleteAt - now
-		} else {
-			p.Wait(cycles.DMACompletionCheck)
-			spent += cycles.DMACompletionCheck
-		}
-	}
-	p.Wait(cycles.DMACompletionCheck)
-	return spent + cycles.DMACompletionCheck
 }
 
 // BusyUntil reports when the channel's queue drains.

@@ -102,43 +102,8 @@ func TestCopyScatterChunkingProperty(t *testing.T) {
 	}
 }
 
-func TestCPUEngineChargesTime(t *testing.T) {
-	env, pm := setup()
-	eng := NewCPUEngine(pm, cycles.UnitAVX)
-	sf, _ := pm.AllocFrame()
-	df, _ := pm.AllocFrame()
-	fill(pm, sf, 0, []byte("data"))
-	var elapsed sim.Time
-	env.Go("copier", func(p *sim.Proc) {
-		start := p.Now()
-		eng.Copy(p, []FrameRange{{df, 0, 4}}, []FrameRange{{sf, 0, 4}})
-		elapsed = p.Now() - start
-	})
-	if err := env.Run(sim.Infinity); err != nil {
-		t.Fatal(err)
-	}
-	want := cycles.SyncCopyCost(cycles.UnitAVX, 4)
-	if elapsed != want {
-		t.Fatalf("elapsed = %d, want %d", elapsed, want)
-	}
-	if eng.BytesCopied != 4 {
-		t.Fatalf("BytesCopied = %d", eng.BytesCopied)
-	}
-	if string(pm.FrameBytes(df)[:4]) != "data" {
-		t.Fatal("no copy")
-	}
-}
-
-func TestCPUEngineRejectsDMAUnit(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	_, pm := setup()
-	NewCPUEngine(pm, cycles.UnitDMA)
-}
-
+// A descriptor completes in background time, one transfer cost after
+// it is enqueued on an idle channel: no byte moves before then.
 func TestDMABackgroundCompletion(t *testing.T) {
 	env, pm := setup()
 	d := NewDMAChannel(env, pm)
@@ -146,96 +111,57 @@ func TestDMABackgroundCompletion(t *testing.T) {
 	df, _ := pm.AllocFrame()
 	fill(pm, sf, 0, []byte("dma-payload"))
 	n := units.Bytes(11)
-	var submitDone, seenDone sim.Time
-	var wasDoneEarly bool
-	env.Go("submitter", func(p *sim.Proc) {
-		req := d.Submit(p, FrameRange{df, 0, n}, FrameRange{sf, 0, n})
-		submitDone = p.Now()
-		wasDoneEarly = req.Done() // must be false: background transfer
-		// App computes meanwhile.
-		p.Wait(100000)
-		if !req.Done() {
-			t.Error("DMA not done after long compute")
+	doneAt := sim.Time(-1)
+	d.EnqueueBatch([][2]FrameRange{{{df, 0, n}, {sf, 0, n}}}, func(i int, err error) {
+		if i != 0 || err != nil {
+			t.Errorf("onDone(%d, %v)", i, err)
 		}
-		seenDone = p.Now()
+		doneAt = env.Now()
 	})
+	if string(pm.FrameBytes(df)[:n]) == "dma-payload" {
+		t.Fatal("DMA completed synchronously")
+	}
 	if err := env.Run(sim.Infinity); err != nil {
 		t.Fatal(err)
 	}
-	if wasDoneEarly {
-		t.Fatal("DMA completed synchronously")
-	}
-	if submitDone != cycles.DMASubmit {
-		t.Fatalf("submit cost = %d", submitDone)
+	if want := cycles.CopyCost(cycles.UnitDMA, n); doneAt != want {
+		t.Fatalf("completed at %d, want one transfer cost %d", doneAt, want)
 	}
 	if string(pm.FrameBytes(df)[:n]) != "dma-payload" {
 		t.Fatal("DMA did not move data")
 	}
-	_ = seenDone
-}
-
-func TestDMAWaitForSleepsToCompletion(t *testing.T) {
-	env, pm := setup()
-	d := NewDMAChannel(env, pm)
-	sf, _ := pm.AllocFrame()
-	df, _ := pm.AllocFrame()
-	n := units.Bytes(4096)
-	var total sim.Time
-	env.Go("w", func(p *sim.Proc) {
-		req := d.Submit(p, FrameRange{df, 0, n}, FrameRange{sf, 0, n})
-		d.WaitFor(p, req)
-		total = p.Now()
-	})
-	if err := env.Run(sim.Infinity); err != nil {
-		t.Fatal(err)
-	}
-	want := sim.Time(cycles.DMASubmit) + cycles.CopyCost(cycles.UnitDMA, n) + cycles.DMACompletionCheck
-	if total != want {
-		t.Fatalf("total = %d, want %d", total, want)
+	if d.BytesCopied != int64(n) || d.Submitted != 1 {
+		t.Fatalf("BytesCopied = %d, Submitted = %d", d.BytesCopied, d.Submitted)
 	}
 }
 
+// The channel drains its queue FIFO across batches: a second batch
+// enqueued while the first is in flight starts only when it ends.
 func TestDMAQueueSerializes(t *testing.T) {
 	env, pm := setup()
 	d := NewDMAChannel(env, pm)
 	fs, _ := pm.AllocFrames(4)
 	n := units.Bytes(8192)
-	env.Go("w", func(p *sim.Proc) {
-		r1 := d.Submit(p, FrameRange{fs[0], 0, n}, FrameRange{fs[1], 0, n})
-		r2 := d.Submit(p, FrameRange{fs[2], 0, n}, FrameRange{fs[3], 0, n})
-		// Second transfer starts only after the first finishes.
-		if r2.CompleteAt < r1.CompleteAt+cycles.CopyCost(cycles.UnitDMA, n) {
-			t.Errorf("r2 at %d overlaps r1 at %d", r2.CompleteAt, r1.CompleteAt)
-		}
-	})
+	cost := cycles.CopyCost(cycles.UnitDMA, n)
+	var order []int
+	var at []sim.Time
+	for b := 0; b < 2; b++ {
+		d.EnqueueBatch([][2]FrameRange{{{fs[2*b], 0, n}, {fs[2*b+1], 0, n}}}, func(int, error) {
+			order = append(order, b)
+			at = append(at, env.Now())
+		})
+	}
 	if err := env.Run(sim.Infinity); err != nil {
 		t.Fatal(err)
 	}
-	if d.Submitted != 2 {
-		t.Fatalf("Submitted = %d", d.Submitted)
+	if len(order) != 2 || order[0] != 0 || order[1] != 1 {
+		t.Fatalf("completion order %v, want [0 1]", order)
 	}
-}
-
-func TestDMASubmitBatchCheaperThanSerial(t *testing.T) {
-	env, pm := setup()
-	d := NewDMAChannel(env, pm)
-	fs, _ := pm.AllocFrames(8)
-	var batchCost sim.Time
-	env.Go("w", func(p *sim.Proc) {
-		start := p.Now()
-		pairs := [][2]FrameRange{
-			{{fs[0], 0, 1024}, {fs[1], 0, 1024}},
-			{{fs[2], 0, 1024}, {fs[3], 0, 1024}},
-			{{fs[4], 0, 1024}, {fs[5], 0, 1024}},
-		}
-		d.SubmitBatch(p, pairs)
-		batchCost = p.Now() - start
-	})
-	if err := env.Run(sim.Infinity); err != nil {
-		t.Fatal(err)
+	if at[0] != cost || at[1] != 2*cost {
+		t.Fatalf("completed at %v, want [%d %d]", at, cost, 2*cost)
 	}
-	if batchCost >= 3*cycles.DMASubmit {
-		t.Fatalf("batch cost %d not cheaper than 3 serial submits %d", batchCost, 3*cycles.DMASubmit)
+	if d.Submitted != 2 || d.BusyUntil() != 2*cost {
+		t.Fatalf("Submitted = %d, BusyUntil = %d", d.Submitted, d.BusyUntil())
 	}
 }
 
@@ -243,15 +169,12 @@ func TestDMAMismatchedLengthsPanic(t *testing.T) {
 	env, pm := setup()
 	d := NewDMAChannel(env, pm)
 	fs, _ := pm.AllocFrames(2)
-	env.Go("w", func(p *sim.Proc) {
-		defer func() {
-			if recover() == nil {
-				t.Error("no panic")
-			}
-		}()
-		d.Submit(p, FrameRange{fs[0], 0, 10}, FrameRange{fs[1], 0, 20})
-	})
-	_ = env.Run(sim.Infinity)
+	defer func() {
+		if recover() == nil {
+			t.Error("no panic")
+		}
+	}()
+	d.EnqueueBatch([][2]FrameRange{{{fs[0], 0, 10}, {fs[1], 0, 20}}}, nil)
 }
 
 func TestCacheHitMissLRU(t *testing.T) {

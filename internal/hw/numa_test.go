@@ -107,20 +107,19 @@ func TestDMAPerNodeTracksAndBusyCycles(t *testing.T) {
 	dst := FrameRange{Frame: frames[0], Len: n}
 	srcLocal := FrameRange{Frame: frames[0], Off: n, Len: n}
 	srcRemote := FrameRange{Frame: frames[2], Len: n}
-	env.Go("driver", func(p *sim.Proc) {
-		reqL := d0.Submit(p, dst, srcLocal)
-		d0.WaitFor(p, reqL)
-		busyAfterLocal := d0.BusyCycles
-		if busyAfterLocal != int64(cycles.CopyCost(cycles.UnitDMA, n)) {
-			t.Errorf("local BusyCycles = %d, want %d", busyAfterLocal, cycles.CopyCost(cycles.UnitDMA, n))
-		}
-		reqR := d0.Submit(p, dst, srcRemote)
-		d0.WaitFor(p, reqR)
-		if remote := d0.BusyCycles - busyAfterLocal; remote <= busyAfterLocal {
-			t.Errorf("remote occupancy %d not above local %d", remote, busyAfterLocal)
-		}
-	})
+	d0.EnqueueBatch([][2]FrameRange{{dst, srcLocal}}, nil)
+	busyAfterLocal := d0.BusyCycles
+	if busyAfterLocal != int64(cycles.CopyCost(cycles.UnitDMA, n)) {
+		t.Errorf("local BusyCycles = %d, want %d", busyAfterLocal, cycles.CopyCost(cycles.UnitDMA, n))
+	}
+	d0.EnqueueBatch([][2]FrameRange{{dst, srcRemote}}, nil)
+	if remote := d0.BusyCycles - busyAfterLocal; remote <= busyAfterLocal {
+		t.Errorf("remote occupancy %d not above local %d", remote, busyAfterLocal)
+	}
 	if err := env.Run(sim.Infinity); err != nil {
 		t.Fatal(err)
+	}
+	if d3.BusyCycles != 0 {
+		t.Errorf("idle node-3 engine BusyCycles = %d", d3.BusyCycles)
 	}
 }

@@ -241,11 +241,7 @@ func (m *Machine) releaseCore(t *Thread) {
 	if c == nil {
 		return
 	}
-	if r := m.Env.Recorder(); r != nil {
-		now := m.Env.Now()
-		r.Emit(obs.Event{T: int64(c.grantedAt), Dur: int64(now - c.grantedAt), Kind: obs.EvThreadRun,
-			Layer: obs.LayerKernel, Track: c.track, Name: t.Name, A: int64(t.TID)})
-	}
+	m.Env.Recorder().On(c.track, obs.EvThreadRun, int64(c.grantedAt), int64(m.Env.Now()-c.grantedAt), t.Name, int64(t.TID), 0)
 	t.core = nil
 	c.cur = nil
 	// Find the first queued thread that may use this core.

@@ -105,10 +105,7 @@ func (t *Thread) Syscall(name string, fn func()) {
 		a.Client.SubmitBarrier(true)
 	}
 	t.Exec(cycles.SyscallReturn)
-	if r := t.m.Env.Recorder(); r != nil {
-		r.Emit(obs.Event{T: int64(start), Dur: int64(t.Now() - start), Kind: obs.EvTrapReturn,
-			Layer: obs.LayerKernel, Track: "kernel:syscalls", Name: name, A: int64(t.TID)})
-	}
+	t.m.Env.Recorder().On("kernel:syscalls", obs.EvTrapReturn, int64(start), int64(t.Now()-start), name, int64(t.TID), 0)
 }
 
 // KernelCopy is the kernel's synchronous copy between address spaces

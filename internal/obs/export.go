@@ -49,7 +49,7 @@ func (r *Recorder) WritePerfetto(w io.Writer) error {
 		bw.WriteString(`{"name":`)
 		writeJSONString(bw, e.Name)
 		bw.WriteString(`,"cat":"`)
-		bw.WriteString(e.Layer.String())
+		bw.WriteString(e.Kind.Layer().String())
 		bw.WriteString(`","ts":`)
 		bw.WriteString(strconv.FormatInt(e.T, 10))
 		switch {

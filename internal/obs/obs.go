@@ -11,8 +11,10 @@
 //     ring buffer; labels are static interned strings; aggregate
 //     updates (histograms, unit busy accounting) touch fixed arrays
 //     and pre-registered tracks only.
-//   - Off by default, near-zero cost when disabled: every emission
-//     site guards on a nil *Recorder — one pointer load and branch.
+//   - Off by default, one nil check per site when disabled: emission
+//     sites call the nil-safe emitters At and On, which inline.
+//   - One schema: the kinds table gives each kind its name, layer and
+//     fixed timeline row, so an emission site states only what varies.
 //   - Deterministic: recording is driven entirely by the simulation's
 //     virtual clock and event order, and the exporters iterate rings
 //     and registration-ordered slices (never maps), so two runs of the
@@ -50,6 +52,7 @@ const (
 	// [T, T+Dur). A = bytes moved.
 	EvUnitBusyInterval
 	// EvTrapReturn: one user→kernel→user syscall window [T, T+Dur).
+	// A = TID.
 	EvTrapReturn
 
 	// EvProcStart / EvProcEnd: simulation process lifecycle (sim
@@ -57,7 +60,7 @@ const (
 	EvProcStart
 	EvProcEnd
 	// EvThreadRun: a kernel thread held a core for [T, T+Dur)
-	// (scheduler run span; preemption ends the span).
+	// (scheduler run span; preemption ends the span). A = TID.
 	EvThreadRun
 	// EvDMASubmit: a descriptor was enqueued on the DMA channel.
 	// A = bytes.
@@ -68,14 +71,14 @@ const (
 	EvATCacheMiss
 
 	// EvFaultInjected: the fault layer perturbed one operation.
-	// A = payload bytes affected, B = fault code (1 = fail,
-	// 2 = stall, 3 = fail+stall).
+	// A = payload bytes affected, B = fault bits (1 = fail,
+	// 2 = stall, 4 = permanent).
 	EvFaultInjected
 	// EvTaskRetry: a task's failed window was rescheduled with
 	// backoff. A = task ID, B = retry number (1-based).
 	EvTaskRetry
 	// EvTaskFailed: a task exhausted retries (or hit a permanent
-	// fault) and completed with an error. A = task ID.
+	// fault) and completed with an error. A = task ID, B = retries.
 	EvTaskFailed
 	// EvEngineFallback: DMA-eligible work was forced onto the CPU
 	// engines because the DMA channel is faulted/cooling down.
@@ -102,22 +105,46 @@ const (
 	numEventKinds
 )
 
-var kindNames = [numEventKinds]string{
-	"TaskSubmit", "TaskDispatch", "SegmentDone", "TaskComplete",
-	"QueueDepthSample", "UnitBusyInterval", "TrapReturn",
-	"ProcStart", "ProcEnd", "ThreadRun", "DMASubmit",
-	"ATCacheHit", "ATCacheMiss",
-	"FaultInjected", "TaskRetry", "TaskFailed", "EngineFallback",
-	"ClientTeardown",
-	"TaskShed", "EngineHealth", "Brownout",
+// kinds is the event schema: each kind's name, the layer that emits
+// it and the timeline row At puts it on ("" where the emitter names
+// the row with On: one per copy unit, core or DMA engine).
+var kinds = [numEventKinds]struct {
+	name  string
+	layer Layer
+	track string
+}{
+	EvTaskSubmit:       {"TaskSubmit", LayerCore, "core:tasks"},
+	EvTaskDispatch:     {"TaskDispatch", LayerCore, "core:tasks"},
+	EvSegmentDone:      {"SegmentDone", LayerCore, "core:segments"},
+	EvTaskComplete:     {"TaskComplete", LayerCore, "core:tasks"},
+	EvQueueDepthSample: {"QueueDepthSample", LayerCore, "core:backlog"},
+	EvUnitBusyInterval: {"UnitBusyInterval", LayerHW, ""},
+	EvTrapReturn:       {"TrapReturn", LayerKernel, ""},
+	EvProcStart:        {"ProcStart", LayerSim, "sim:procs"},
+	EvProcEnd:          {"ProcEnd", LayerSim, "sim:procs"},
+	EvThreadRun:        {"ThreadRun", LayerKernel, ""},
+	EvDMASubmit:        {"DMASubmit", LayerHW, ""},
+	EvATCacheHit:       {"ATCacheHit", LayerCore, "core:atcache"},
+	EvATCacheMiss:      {"ATCacheMiss", LayerCore, "core:atcache"},
+	EvFaultInjected:    {"FaultInjected", LayerHW, ""},
+	EvTaskRetry:        {"TaskRetry", LayerCore, "core:tasks"},
+	EvTaskFailed:       {"TaskFailed", LayerCore, "core:tasks"},
+	EvEngineFallback:   {"EngineFallback", LayerCore, "core:tasks"},
+	EvClientTeardown:   {"ClientTeardown", LayerCore, "core:clients"},
+	EvTaskShed:         {"TaskShed", LayerCore, "core:tasks"},
+	EvEngineHealth:     {"EngineHealth", LayerCore, "core:health"},
+	EvBrownout:         {"Brownout", LayerCore, "core:brownout"},
 }
 
 func (k EventKind) String() string {
-	if int(k) < len(kindNames) {
-		return kindNames[k]
+	if int(k) < len(kinds) {
+		return kinds[k].name
 	}
 	return "EventKind?"
 }
+
+// Layer returns the layer that emits kind k.
+func (k EventKind) Layer() Layer { return kinds[k].layer }
 
 // Layer tags which of the four timing-owning layers emitted an event.
 type Layer uint8
@@ -148,7 +175,6 @@ type Event struct {
 	T     int64
 	Dur   int64
 	Kind  EventKind
-	Layer Layer
 	Track string
 	Name  string
 	A, B  int64
@@ -255,8 +281,8 @@ type unitStat struct {
 }
 
 // Recorder is the event sink. A nil *Recorder is a valid, disabled
-// recorder: emission sites guard with `if r != nil`. Recorder is not
-// safe for concurrent use — inside the discrete-event simulation
+// recorder: At and On do nothing on it. Recorder is not safe for
+// concurrent use — inside the discrete-event simulation
 // exactly one process runs at a time, which is also what makes its
 // output deterministic.
 type Recorder struct {
@@ -294,6 +320,28 @@ func NewRecorder(ringCap int) *Recorder {
 	}
 }
 
+// At records an instant of kind k on the kind's own row. It does
+// nothing on a nil recorder, and it is small enough to inline, so a
+// disabled site costs one nil check.
+//
+//copier:noalloc
+func (r *Recorder) At(k EventKind, t int64, name string, a, b int64) {
+	if r != nil {
+		r.Emit(Event{T: t, Kind: k, Track: kinds[k].track, Name: name, A: a, B: b})
+	}
+}
+
+// On records an event of kind k on the row the caller names: a unit's
+// busy span [t, t+dur), a DMA submit or fault on its engine, a thread
+// run on its core, a syscall window. Nil-safe and inlined like At.
+//
+//copier:noalloc
+func (r *Recorder) On(track string, k EventKind, t, dur int64, name string, a, b int64) {
+	if r != nil {
+		r.Emit(Event{T: t, Dur: dur, Kind: k, Track: track, Name: name, A: a, B: b})
+	}
+}
+
 // Emit records one event. The newest events win when the ring wraps;
 // aggregate counters and histograms always see every event. The
 // annotation covers escape-analysis allocations only: the first
@@ -305,7 +353,7 @@ func (r *Recorder) Emit(e Event) {
 	r.ring[r.n%uint64(len(r.ring))] = e
 	r.n++
 	r.counts[e.Kind]++
-	r.byLayer[e.Layer]++
+	r.byLayer[kinds[e.Kind].layer]++
 	if !r.sawEvent || e.T < r.first {
 		r.first = e.T
 	}

@@ -38,8 +38,7 @@ func TestHistogramBasics(t *testing.T) {
 func TestRingWrapKeepsNewestAndAggregatesAll(t *testing.T) {
 	r := NewRecorder(4)
 	for i := 0; i < 10; i++ {
-		r.Emit(Event{T: int64(i), Kind: EvTaskComplete, Layer: LayerCore,
-			Track: "core:tasks", B: int64(i)})
+		r.Emit(Event{T: int64(i), Kind: EvTaskComplete, Track: "core:tasks", B: int64(i)})
 	}
 	if r.Total() != 10 || r.Dropped() != 6 {
 		t.Fatalf("total=%d dropped=%d", r.Total(), r.Dropped())
@@ -69,9 +68,9 @@ func TestRingWrapKeepsNewestAndAggregatesAll(t *testing.T) {
 
 func TestUnitOccupancyAccounting(t *testing.T) {
 	r := NewRecorder(16)
-	r.Emit(Event{T: 0, Dur: 100, Kind: EvUnitBusyInterval, Layer: LayerHW, Track: "hw:AVX", A: 4096})
-	r.Emit(Event{T: 200, Dur: 50, Kind: EvUnitBusyInterval, Layer: LayerHW, Track: "hw:AVX", A: 1024})
-	r.Emit(Event{T: 0, Dur: 300, Kind: EvThreadRun, Layer: LayerKernel, Track: "kernel:core0", A: 7})
+	r.Emit(Event{T: 0, Dur: 100, Kind: EvUnitBusyInterval, Track: "hw:AVX", A: 4096})
+	r.Emit(Event{T: 200, Dur: 50, Kind: EvUnitBusyInterval, Track: "hw:AVX", A: 1024})
+	r.Emit(Event{T: 0, Dur: 300, Kind: EvThreadRun, Track: "kernel:core0", A: 7})
 	if len(r.units) != 2 {
 		t.Fatalf("units = %d", len(r.units))
 	}
@@ -89,12 +88,12 @@ func TestUnitOccupancyAccounting(t *testing.T) {
 
 // fill emits one event of every shape the exporters distinguish.
 func fill(r *Recorder) {
-	r.Emit(Event{T: 5, Kind: EvTaskSubmit, Layer: LayerCore, Track: "core:tasks", Name: "cli", A: 1, B: 4096})
-	r.Emit(Event{T: 9, Kind: EvTaskDispatch, Layer: LayerCore, Track: "core:tasks", Name: "cli", A: 1, B: 4})
-	r.Emit(Event{T: 12, Kind: EvQueueDepthSample, Layer: LayerCore, Track: "core:backlog", Name: "cli", A: 0, B: 3})
-	r.Emit(Event{T: 15, Dur: 80, Kind: EvUnitBusyInterval, Layer: LayerHW, Track: "hw:DMA", Name: "xfer", A: 4096})
-	r.Emit(Event{T: 40, Dur: 30, Kind: EvTrapReturn, Layer: LayerKernel, Track: "kernel:syscalls", Name: "recv\"x\"", A: 2})
-	r.Emit(Event{T: 99, Kind: EvTaskComplete, Layer: LayerCore, Track: "core:tasks", Name: "cli", A: 1, B: 94})
+	r.Emit(Event{T: 5, Kind: EvTaskSubmit, Track: "core:tasks", Name: "cli", A: 1, B: 4096})
+	r.Emit(Event{T: 9, Kind: EvTaskDispatch, Track: "core:tasks", Name: "cli", A: 1, B: 4})
+	r.Emit(Event{T: 12, Kind: EvQueueDepthSample, Track: "core:backlog", Name: "cli", A: 0, B: 3})
+	r.Emit(Event{T: 15, Dur: 80, Kind: EvUnitBusyInterval, Track: "hw:DMA", Name: "xfer", A: 4096})
+	r.Emit(Event{T: 40, Dur: 30, Kind: EvTrapReturn, Track: "kernel:syscalls", Name: "recv\"x\"", A: 2})
+	r.Emit(Event{T: 99, Kind: EvTaskComplete, Track: "core:tasks", Name: "cli", A: 1, B: 94})
 }
 
 func TestPerfettoExportValidAndDeterministic(t *testing.T) {
@@ -167,12 +166,97 @@ func TestEventsEmptyRecorder(t *testing.T) {
 	}
 }
 
-// BenchmarkEmit quantifies the enabled hot path (the disabled path is
-// a nil check at the call site and is covered by the <2% regression
-// gate on BenchmarkFig9CopierThroughput).
+// TestKindSchema pins the shape of the kinds table: every kind has a
+// distinct name and a valid layer, exactly the 16 core and sim instant
+// kinds have a fixed row, that row is named after the kind's layer,
+// and the kinds whose emitter names the row are hw's and kernel's.
+func TestKindSchema(t *testing.T) {
+	fixed := map[EventKind]string{
+		EvTaskSubmit: "core:tasks", EvTaskDispatch: "core:tasks", EvTaskComplete: "core:tasks",
+		EvTaskRetry: "core:tasks", EvTaskFailed: "core:tasks", EvEngineFallback: "core:tasks",
+		EvTaskShed: "core:tasks", EvSegmentDone: "core:segments", EvQueueDepthSample: "core:backlog",
+		EvATCacheHit: "core:atcache", EvATCacheMiss: "core:atcache", EvClientTeardown: "core:clients",
+		EvEngineHealth: "core:health", EvBrownout: "core:brownout",
+		EvProcStart: "sim:procs", EvProcEnd: "sim:procs",
+	}
+	if len(fixed) != 16 {
+		t.Fatalf("%d fixed-row kinds listed, want 16", len(fixed))
+	}
+	names := map[string]bool{}
+	for k := EventKind(0); k < numEventKinds; k++ {
+		name, l, track := k.String(), k.Layer(), kinds[k].track
+		if name == "" || name == "EventKind?" || names[name] {
+			t.Errorf("kind %d: name %q missing or reused", k, name)
+		}
+		names[name] = true
+		if l >= numLayers {
+			t.Errorf("%s: layer %d out of range", name, l)
+		}
+		if track != fixed[k] {
+			t.Errorf("%s: fixed row %q, want %q", name, track, fixed[k])
+		}
+		if track != "" && !strings.HasPrefix(track, l.String()+":") {
+			t.Errorf("%s: row %q outside its layer %s", name, track, l)
+		}
+		if track == "" && l != LayerHW && l != LayerKernel {
+			t.Errorf("%s: caller-named row on layer %s", name, l)
+		}
+	}
+	if s := numEventKinds.String(); s != "EventKind?" {
+		t.Errorf("out-of-range kind prints %q", s)
+	}
+}
+
+// TestAtAndOnFillTheRecord checks what the emitters store: At puts an
+// instant on its kind's row, On on the caller's row with its span, and
+// both count against the kind's layer.
+func TestAtAndOnFillTheRecord(t *testing.T) {
+	r := NewRecorder(8)
+	r.At(EvBrownout, 7, "enter", 1, 99)
+	r.On("hw:DMA3", EvUnitBusyInterval, 10, 5, "xfer", 4096, 0)
+	var got []Event
+	r.Events(func(e *Event) { got = append(got, *e) })
+	want := []Event{
+		{T: 7, Kind: EvBrownout, Track: "core:brownout", Name: "enter", A: 1, B: 99},
+		{T: 10, Dur: 5, Kind: EvUnitBusyInterval, Track: "hw:DMA3", Name: "xfer", A: 4096},
+	}
+	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
+		t.Fatalf("recorded %+v, want %+v", got, want)
+	}
+	if r.LayerCount(LayerCore) != 1 || r.LayerCount(LayerHW) != 1 {
+		t.Fatalf("layer counts core=%d hw=%d", r.LayerCount(LayerCore), r.LayerCount(LayerHW))
+	}
+}
+
+// TestEmittersAllocFree pins the emitters' cost contract: on a nil
+// recorder At and On do nothing, and on a warm recorder (its unit rows
+// registered) they allocate nothing.
+func TestEmittersAllocFree(t *testing.T) {
+	emit := func(r *Recorder) {
+		r.At(EvTaskSubmit, 1, "cli", 1, 4096)
+		r.On("hw:DMA", EvUnitBusyInterval, 2, 80, "xfer", 4096, 0)
+	}
+	var off *Recorder
+	if n := testing.AllocsPerRun(100, func() { emit(off) }); n != 0 {
+		t.Errorf("nil recorder: %v allocs per emission pair", n)
+	}
+	r := NewRecorder(64)
+	emit(r)
+	if n := testing.AllocsPerRun(100, func() { emit(r) }); n != 0 {
+		t.Errorf("warm recorder: %v allocs per emission pair", n)
+	}
+	// One warming pair, AllocsPerRun's own warm-up, then its 100 runs.
+	if want := uint64(2 * (1 + 1 + 100)); r.Total() != want {
+		t.Errorf("warm recorder holds %d events, want %d", r.Total(), want)
+	}
+}
+
+// BenchmarkEmit quantifies the enabled hot path. The disabled path is
+// the nil check At and On inline to at each site, which
+// TestEmittersAllocFree pins allocation-free.
 func BenchmarkEmit(b *testing.B) {
 	r := NewRecorder(1 << 12)
-	e := Event{T: 1, Dur: 2, Kind: EvUnitBusyInterval, Layer: LayerHW, Track: "hw:AVX", A: 4096}
+	e := Event{T: 1, Dur: 2, Kind: EvUnitBusyInterval, Track: "hw:AVX", A: 4096}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		e.T = int64(i)

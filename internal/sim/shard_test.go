@@ -154,7 +154,7 @@ func TestShardSetRecorderMergeIdentity(t *testing.T) {
 			env.Go(fmt.Sprintf("p%d", i), func(p *Proc) {
 				for k := 0; k < 10; k++ {
 					p.Wait(Time(700 + 11*i))
-					env.Recorder().Emit(obs.Event{T: int64(p.Now()), Kind: obs.EvTaskSubmit, Layer: obs.LayerCore, Track: "t", Name: fmt.Sprintf("s%d", i), A: int64(k)})
+					env.Recorder().Emit(obs.Event{T: int64(p.Now()), Kind: obs.EvTaskSubmit, Track: "t", Name: fmt.Sprintf("s%d", i), A: int64(k)})
 				}
 			})
 		}
@@ -186,7 +186,7 @@ func TestRunJobsIdentityAndMergeOrder(t *testing.T) {
 			env.Go("job", func(p *Proc) {
 				for k := 0; k < 5; k++ {
 					p.Wait(Time(100 + 3*idx))
-					env.Recorder().Emit(obs.Event{T: int64(p.Now()), Kind: obs.EvTaskSubmit, Layer: obs.LayerCore, Track: "t", Name: fmt.Sprintf("job%d", idx), A: int64(k)})
+					env.Recorder().Emit(obs.Event{T: int64(p.Now()), Kind: obs.EvTaskSubmit, Track: "t", Name: fmt.Sprintf("job%d", idx), A: int64(k)})
 				}
 			})
 			if err := env.Run(Infinity); err != nil {

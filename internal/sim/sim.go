@@ -169,9 +169,7 @@ func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
 		fn(p)
 		p.finished = true
 		e.nlive--
-		if r := e.rec; r != nil {
-			r.Emit(obs.Event{T: int64(e.now), Kind: obs.EvProcEnd, Layer: obs.LayerSim, Track: "sim:procs", Name: p.name})
-		}
+		e.rec.At(obs.EvProcEnd, int64(e.now), p.name, 0, 0)
 	})
 	p.handoffFn = p.handoff
 	p.timeoutFn = p.timeout
@@ -179,9 +177,7 @@ func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
 	e.nlive++
 	e.Schedule(0, func() {
 		p.started = true
-		if r := e.rec; r != nil {
-			r.Emit(obs.Event{T: int64(e.now), Kind: obs.EvProcStart, Layer: obs.LayerSim, Track: "sim:procs", Name: p.name})
-		}
+		e.rec.At(obs.EvProcStart, int64(e.now), p.name, 0, 0)
 		p.handoff()
 	})
 	return p

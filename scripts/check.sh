@@ -12,6 +12,21 @@ if [ -n "$fmt" ]; then
 	exit 1
 fi
 
+# The trace-event schema lives in internal/obs: its kinds table holds
+# each kind's name, layer and fixed timeline row, and emission sites
+# call the nil-safe emitters Recorder.At and Recorder.On. A hand-built
+# obs.Event literal elsewhere would restate that schema, so non-test
+# code outside internal/obs may not write one (replaying recorded
+# events through Emit(*ev) needs none).
+echo "== obs schema =="
+lits=$(grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=.git \
+	--exclude-dir=.bench_build 'obs\.Event{' . | grep -v '^\./internal/obs/' || true)
+if [ -n "$lits" ]; then
+	echo "obs.Event literals outside internal/obs (emit with Recorder.At or Recorder.On):"
+	echo "$lits"
+	exit 1
+fi
+
 echo "== go vet ./... =="
 go vet ./...
 
