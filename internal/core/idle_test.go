@@ -154,6 +154,22 @@ var idleScenarios = []idleScenario{
 	{"submit-at-admission-mid-stretch/late", submitOnEdge(100_900, true)},
 	{"submit-at-pick-mid-stretch/early", submitOnEdge(100_940, false)},
 	{"submit-at-pick-mid-stretch/late", submitOnEdge(100_940, true)},
+	// A copy submitted inside the poll wait before the admission at
+	// 100,900 ends the quiet stretch there. A second copy lands at
+	// 100,900 too, scheduled during that wait and so after the
+	// thread's wake: the sweep must admit the first copy alone.
+	{"second-submit-at-stretch-end", func(t *testing.T) (*sim.Env, *Service, sim.Time) {
+		h := newHarness(t, DefaultConfig())
+		first, second := h.copyTask(t, 4<<10), h.copyTask(t, 4<<10)
+		h.start()
+		h.env.Go("submitter", func(p *sim.Proc) {
+			p.Wait(100_870)
+			h.c.SubmitCopy(first, false)
+			p.Wait(30)
+			h.c.SubmitCopy(second, false)
+		})
+		return h.env, h.svc, 2_000_000
+	}},
 	// Three flat threads scale down to two; the quiet slot 1 inherits
 	// client d and its pending lazy task, which must still expire at
 	// its lazy deadline.
