@@ -7,6 +7,12 @@ import "copier/internal/sim"
 // adapters. Keeping the service independent of the kernel package
 // mirrors the paper's layering (the service is beneath the OS
 // services that call it) and avoids an import cycle.
+//
+// A Ctx that books CPU time may also have a Charge(d sim.Time) method
+// (kernel.Thread does). For a service thread, Exec(d) must equal
+// waiting d cycles on its process, then Charge(d) if the Ctx has one:
+// the poll loop waits in event context (sim.Env.Spin) and charges each
+// wait through Charge once it ends.
 type Ctx interface {
 	// Exec consumes d cycles of CPU time (preemptible).
 	Exec(d sim.Time)

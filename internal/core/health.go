@@ -229,8 +229,8 @@ func (s *Service) takeRetryToken(now sim.Time) bool {
 // backlog. Entry: backlog above BrownoutHigh for a full brownoutDwell.
 // Exit: backlog below BrownoutHigh/8 for a full brownoutDwell. The dwell
 // on both edges is the hysteresis that keeps one bursty arrival from
-// toggling the mode per sweep. Driven from serveOnce, so it advances
-// in deterministic virtual time.
+// toggling the mode per sweep. Driven from each sweep's admission, so
+// it advances in deterministic virtual time.
 //
 //copier:noalloc
 func (s *Service) brownoutEval(now sim.Time) {

@@ -601,72 +601,54 @@ func (s *Service) doorbell(c *Client) {
 // ThreadMain is a Copier thread's body (§4.5.1). The integration
 // layer runs it on a dedicated kernel thread; slot identifies the
 // thread for client partitioning.
+//
+// The poll loop's rules live in poller.step, which runs between the
+// loop's waits in event context (sim.Env.Spin), so an idle thread's
+// sweeps cost no coroutine switch. The thread itself runs only what
+// needs its stack: blocking, a full sweep, serving the picked client,
+// and sleeping. ctx must run in its environment's current process.
 func (s *Service) ThreadMain(ctx Ctx, slot int) {
 	s.activeThreads++
 	// Save AVX state once per activation instead of per copy (§4.3).
 	ctx.Exec(cycles.XSave)
-	idle := 0
-	var quiet quietSweep
-	for !s.stopped {
-		if s.cfg.Mode == PollScenario && !s.scenarioActive {
+	l := &poller{s: s, slot: slot, charge: func(sim.Time) {}}
+	if c, ok := ctx.(interface{ Charge(sim.Time) }); ok {
+		l.charge = c.Charge
+	}
+	step, env := l.step, ctx.Env()
+	for l.at != doStop {
+		env.Spin(step)
+		switch l.at {
+		case doActivate:
 			s.Stats.Sleeps++
 			ctx.Block(s.activateSig)
-			continue
-		}
-		if s.numNodes() == 1 && slot >= s.activeThreads && slot != 0 {
+			l.at = atTop
+		case doPark:
 			// Parked by auto-scaling (flat machine only: the sharded
 			// service runs a static thread per node).
 			s.parked++
 			ctx.Block(s.parkSig)
 			s.parked--
-			continue
-		}
-		worked := s.serveOnce(ctx, slot, &quiet)
-		if worked {
-			idle = 0
-			if slot == 0 {
-				s.autoscale()
+			l.at = atTop
+		case doSweep:
+			l.worked, l.mine = s.sweepQueues(ctx, slot, l.mine)
+			l.at = atPick
+		case doServe:
+			budget := copySlice
+			if s.brownout {
+				// Brownout batches more aggressively: a doubled copy
+				// slice amortizes scheduling and submission costs while
+				// the service digs out of the backlog.
+				budget *= 2
 			}
-			continue
-		}
-		idle++
-		s.Stats.PollSweeps++
-		ctx.Exec(cycles.PollIteration)
-		if s.cfg.Mode == PollScenario {
-			// Scenario-driven threads sleep as soon as queues drain
-			// ("sleeps when queues are empty", §6.2.4), woken by the
-			// submission doorbell.
-			if idle >= 32 {
-				s.sleeping++
-				s.Stats.Sleeps++
-				fired := ctx.BlockTimeout(s.workSig, sleepPeriod)
-				s.sleeping--
-				if fired {
-					ctx.Exec(cycles.WakeThread)
-					idle = 0
-				} else {
-					idle = 32
-				}
+			if s.serveClient(ctx, l.pick, budget) {
+				l.worked = true
 			}
-			continue
-		}
-		if s.cfg.Mode == PollNAPI && idle >= napiBudget {
-			// Save SIMD state and sleep until a doorbell (§4.5.1).
-			ctx.Exec(cycles.XSave)
-			s.sleeping++
-			s.Stats.Sleeps++
-			fired := ctx.BlockTimeout(s.workSig, sleepPeriod)
-			s.sleeping--
-			if fired {
-				// Doorbell wake (copier_awaken-style IPI).
-				ctx.Exec(cycles.WakeThread)
-				idle = 0
-			} else {
-				// Timeout wake: peek once, then go straight back to
-				// sleep if still idle.
-				idle = napiBudget
-			}
-			ctx.Exec(cycles.XSave)
+			l.pick = nil
+			l.at = atSwept
+		case doSleep:
+			l.sleep(ctx)
+			l.at = atTop
 		}
 	}
 	// Final reclaim: a client killed just before Stop must not leak
@@ -682,6 +664,164 @@ func (s *Service) ThreadMain(ctx Ctx, slot int) {
 		s.teardownClient(ctx, c)
 	}
 	s.activeThreads--
+}
+
+// poller is one service thread's poll loop. step runs the loop's rules
+// from where at says the loop stands; when the thread's stack is
+// needed, step reports done with at naming the work (a do* value), and
+// ThreadMain does it and points at where step resumes.
+type poller struct {
+	s      *Service
+	slot   int
+	charge func(sim.Time) // the Ctx's Charge, or a no-op
+	at     pollAt
+	idle   int        // fruitless sweeps in a row
+	quiet  quietSweep // the last fruitless full sweep's proof
+	// The sweep in progress: its admission instant, the epoch and
+	// client snapshot taken then, whether it scanned the queues
+	// (false: a quiet sweep), whether it did work, and the client its
+	// pick chose.
+	admitAt sim.Time
+	epoch   uint64
+	mine    []*Client
+	full    bool
+	worked  bool
+	pick    *Client
+}
+
+// pollAt is where a poll loop stands between steps, or the work its
+// step hands to the thread.
+type pollAt int
+
+const (
+	atTop      pollAt = iota // loop top: stop, scenario and park checks, then admission
+	atPick                   // the scans are done or skipped: wait out the pick
+	atPicked                 // the pick wait has ended
+	atSwept                  // the sweep's outcome is known: idle accounting
+	atPolled                 // the PollIteration wait has ended
+	doStop                   // leave the loop
+	doActivate               // block until the scenario activates
+	doPark                   // block while auto-scaling parks the slot
+	doSweep                  // scan the queues (sweepQueues)
+	doServe                  // serve the picked client
+	doSleep                  // sleep until a doorbell or sleepPeriod
+)
+
+// step runs the poll loop until its next wait, which it returns, or
+// until the thread must take over. It may run in event context, so it
+// only reads and updates service state; each wait's cycles are charged
+// when the wait ends, as Ctx.Exec charges them.
+//
+// A sweep admits new tasks, serves Sync Queues, expires lazy tasks and
+// executes one CFS-picked client's slice. A quiet sweep (same epoch as
+// the proof, before its trigger) skips the scans, which would find
+// nothing, and charges the same SchedulePick wait; if the proof lapses
+// during that wait it picks for real.
+func (l *poller) step() (sim.Time, bool) {
+	s := l.s
+	for {
+		switch l.at {
+		case atTop:
+			if s.stopped {
+				l.at = doStop
+				return 0, false
+			}
+			if s.cfg.Mode == PollScenario && !s.scenarioActive {
+				l.at = doActivate
+				return 0, false
+			}
+			if s.numNodes() == 1 && l.slot >= s.activeThreads && l.slot != 0 {
+				l.at = doPark
+				return 0, false
+			}
+			l.admitAt = s.now()
+			s.brownoutEval(l.admitAt)
+			l.mine = s.clientsOf(l.slot)
+			l.epoch = s.epoch
+			l.full = l.epoch != l.quiet.epoch || l.admitAt >= l.quiet.until
+			l.worked = false
+			l.at = atPick
+			if l.full {
+				l.at = doSweep
+				return 0, false
+			}
+		case atPick:
+			// CFS pick: group with minimum vruntime, then client within
+			// (§4.5.3).
+			l.at = atPicked
+			return cycles.SchedulePick, true
+		case atPicked:
+			l.charge(cycles.SchedulePick)
+			if l.full || s.epoch != l.epoch || s.now() >= l.quiet.until {
+				l.pick = s.pickClient(l.mine, s.now())
+			}
+			if l.pick != nil {
+				l.at = doServe
+				return 0, false
+			}
+			if l.full && !l.worked {
+				l.quiet = quietSweep{l.epoch, nextTrigger(l.mine, l.admitAt)}
+			}
+			l.at = atSwept
+		case atSwept:
+			if l.worked || s.inflightDMA > 0 {
+				l.idle = 0
+				if l.slot == 0 {
+					s.autoscale()
+				}
+				l.at = atTop
+				continue
+			}
+			l.idle++
+			s.Stats.PollSweeps++
+			l.at = atPolled
+			return cycles.PollIteration, true
+		case atPolled:
+			l.charge(cycles.PollIteration)
+			l.at = atTop
+			if l.idle >= s.sleepAfter() {
+				l.at = doSleep
+				return 0, false
+			}
+		}
+	}
+}
+
+// sleepAfter is how many fruitless sweeps in a row put a thread to
+// sleep. Scenario-driven threads sleep as soon as queues drain
+// ("sleeps when queues are empty", §6.2.4), woken by the submission
+// doorbell; NAPI threads poll for napiBudget sweeps first (§4.5.1).
+func (s *Service) sleepAfter() int {
+	if s.cfg.Mode == PollScenario {
+		return 32
+	}
+	return napiBudget
+}
+
+// sleep puts an idle thread to sleep until a doorbell or sleepPeriod.
+// A NAPI thread saves its SIMD state around the sleep (§4.5.1).
+func (l *poller) sleep(ctx Ctx) {
+	s := l.s
+	napi := s.cfg.Mode == PollNAPI
+	if napi {
+		ctx.Exec(cycles.XSave)
+	}
+	s.sleeping++
+	s.Stats.Sleeps++
+	fired := ctx.BlockTimeout(s.workSig, sleepPeriod)
+	s.sleeping--
+	if fired {
+		// Doorbell wake (copier_awaken-style IPI).
+		ctx.Exec(cycles.WakeThread)
+		l.idle = 0
+	} else {
+		// Timeout wake: peek once, then go straight back to sleep if
+		// still idle.
+		l.idle = s.sleepAfter()
+	}
+	if napi {
+		ctx.Exec(cycles.XSave)
+	}
 }
 
 // autoscale adjusts the active thread count to keep per-thread backlog
@@ -757,45 +897,6 @@ func (s *Service) partition(slot int) []*Client {
 type quietSweep struct {
 	epoch uint64
 	until sim.Time
-}
-
-// serveOnce admits new tasks, serves Sync Queues, expires lazy tasks
-// and executes one CFS-picked client's slice. Reports whether any work
-// was done. A quiet sweep (same epoch as q, before q.until) skips the
-// scans, which would find nothing, and charges the same SchedulePick
-// wait; if the proof lapses during that wait it picks for real.
-func (s *Service) serveOnce(ctx Ctx, slot int, q *quietSweep) bool {
-	admitAt := s.now()
-	s.brownoutEval(admitAt)
-	mine := s.clientsOf(slot)
-	epoch := s.epoch
-	quiet := epoch == q.epoch && admitAt < q.until
-	worked := false
-	if !quiet {
-		worked, mine = s.sweepQueues(ctx, slot, mine)
-	}
-	// CFS pick: group with minimum vruntime, then client within
-	// (§4.5.3).
-	ctx.Exec(cycles.SchedulePick)
-	var c *Client
-	if !quiet || s.epoch != epoch || s.now() >= q.until {
-		c = s.pickClient(mine, s.now())
-	}
-	if c == nil {
-		if !quiet && !worked {
-			*q = quietSweep{epoch, nextTrigger(mine, admitAt)}
-		}
-		return worked || s.inflightDMA > 0
-	}
-	budget := copySlice
-	if s.brownout {
-		// Brownout batches more aggressively: a doubled copy slice
-		// amortizes scheduling and submission costs while the service
-		// digs out of the backlog.
-		budget *= 2
-	}
-	served := s.serveClient(ctx, c, budget)
-	return worked || served || s.inflightDMA > 0
 }
 
 // nextTrigger returns the earliest Deadline, LazyDeadline or retryAt
@@ -948,7 +1049,7 @@ func (c *Client) runnable(now sim.Time) bool {
 
 // dispatchable reports whether the scheduler may hand t to the copy
 // units right now. A task past its deadline is never started (the
-// serveOnce sweep sheds it), but once dispatch begins the deadline no
+// sweep sheds it), but once dispatch begins the deadline no
 // longer gates: a partially-copied task runs to completion so its pins
 // and progress accounting stay coherent.
 func (t *Task) dispatchable(now sim.Time) bool {

@@ -296,8 +296,7 @@ func (t *Thread) chargeSwitch() {
 		d := t.pendingSwitchCost
 		t.pendingSwitchCost = 0
 		t.proc.Wait(d)
-		t.core.BusyCycles += int64(d)
-		t.BusyCycles += int64(d)
+		t.Charge(d)
 	}
 }
 
@@ -474,8 +473,7 @@ func (t *Thread) Exec(d sim.Time) {
 			chunk = quantum
 		}
 		t.proc.Wait(chunk)
-		t.BusyCycles += int64(chunk)
-		t.core.BusyCycles += int64(chunk)
+		t.Charge(chunk)
 		d -= chunk
 		if d > 0 && !t.noPreempt && len(t.m.runq) > 0 {
 			// Quantum expired with waiters: round-robin.
@@ -483,6 +481,16 @@ func (t *Thread) Exec(d sim.Time) {
 			t.acquireCore()
 		}
 	}
+}
+
+// Charge books d cycles of CPU time on the thread and its core, as
+// Exec does once each of its waits ends. For a thread that holds its
+// core and is not preempted inside the Exec (copierd), Exec(d) is a
+// wait of d cycles followed by Charge(d): the Copier service's poll
+// loop, which waits in event context, charges through it.
+func (t *Thread) Charge(d sim.Time) {
+	t.BusyCycles += int64(d)
+	t.core.BusyCycles += int64(d)
 }
 
 // Block releases the CPU and sleeps until s broadcasts, then re-acquires
@@ -509,9 +517,7 @@ func (t *Thread) SpinUntil(s *sim.Signal) {
 	t.acquireCore()
 	start := t.proc.Now()
 	s.Wait(t.proc)
-	d := int64(t.proc.Now() - start)
-	t.BusyCycles += d
-	t.core.BusyCycles += d
+	t.Charge(t.proc.Now() - start)
 }
 
 // Sleep consumes no CPU for d cycles (the thread releases its core).

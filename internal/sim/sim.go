@@ -18,6 +18,11 @@
 //     Signal/Queue until another process wakes it. A Wait whose wake
 //     would be the loop's very next event just moves the clock, with
 //     no switch: nothing else can run in between, so no one can tell.
+//   - Env.Spin runs a process's wait loop without the process: each
+//     step after a wait that must switch runs in that wait's event,
+//     and the process is switched back in only when a step is done.
+//     A polling loop whose steps need no stack thus costs one event
+//     per wait, not two coroutine switches.
 //   - Events scheduled for the same instant fire in scheduling order
 //     (a monotone sequence number breaks ties), never concurrently.
 package sim
@@ -69,6 +74,7 @@ type Env struct {
 	events  eventQueue
 	seq     uint64
 	procs   []*Proc // all spawned, for deadlock diagnosis
+	cur     *Proc   // the process running now; nil in event context
 	nlive   int     // procs started and not yet finished
 	running bool
 	rec     *obs.Recorder
@@ -109,6 +115,12 @@ func badDelay(who string, d Time) {
 	panic(fmt.Sprintf("sim: %s: negative delay %d", who, d))
 }
 
+// spinOutside reports a Spin call outside a process body, out of line
+// for the same reason as badDelay.
+//
+//go:noinline
+func spinOutside() { panic("sim: Spin outside a process") }
+
 // Schedule registers fn to run at now+d. It may be called from process
 // bodies or before Run. fn runs in the event loop, not in a process
 // context; it must not block.
@@ -146,6 +158,10 @@ type Proc struct {
 	// allocates nothing.
 	handoffFn func()
 	timeoutFn func()
+	// step is the loop Spin runs, and spinFn the pre-bound event that
+	// runs its next step after a wait that switches.
+	step   func() (Time, bool)
+	spinFn func()
 	// timeoutEpoch is the episode the pending WaitTimeout expiry may
 	// end. A proc has at most one expiry live: it is canceled when a
 	// broadcast ends the episode first.
@@ -173,6 +189,7 @@ func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
 	})
 	p.handoffFn = p.handoff
 	p.timeoutFn = p.timeout
+	p.spinFn = p.spinEvent
 	e.procs = append(e.procs, p)
 	e.nlive++
 	e.Schedule(0, func() {
@@ -186,7 +203,11 @@ func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
 // handoff switches from the event loop into p and returns when p
 // yields or finishes. Must be called from the event loop. A panic or
 // runtime.Goexit in p's body re-raises here.
-func (p *Proc) handoff() { p.next() }
+func (p *Proc) handoff() {
+	p.env.cur = p
+	p.next()
+	p.env.cur = nil
+}
 
 // yield switches from p back to the event loop and returns when p is
 // next handed control.
@@ -220,6 +241,72 @@ func (p *Proc) Wait(d Time) {
 	}
 	e.Schedule(d, p.handoffFn)
 	p.yield()
+}
+
+// Spin runs the calling process's loop
+//
+//	for {
+//		d, more := step()
+//		if !more {
+//			return
+//		}
+//		p.Wait(d)
+//	}
+//
+// with the same events in the same order, but without a coroutine
+// switch per wait. A wait that Wait would take switch-free just moves
+// the clock, and the next step runs at once. Any other wait schedules
+// one event, where Wait would have scheduled the wake, and the next
+// step runs inside that event's callback. The step that reports done
+// switches back into the process inside that same event, where Wait's
+// wake would have resumed it, and Spin returns.
+//
+// step may run in event context, so it must not block, wait or spin:
+// it may read the clock, schedule, broadcast and spawn. Spin panics
+// outside a process body.
+//
+//copier:noalloc
+func (e *Env) Spin(step func() (Time, bool)) {
+	p := e.cur
+	if p == nil {
+		spinOutside()
+	}
+	p.step = step
+	if !p.spinSteps() {
+		p.yield()
+	}
+}
+
+// spinSteps runs p's Spin steps from now until one is done (true) or
+// one's wait must switch (false), in which case spinFn is scheduled
+// where Wait would have scheduled the wake. The switch-free test is
+// Wait's, restated here so that Wait keeps its own inline.
+func (p *Proc) spinSteps() bool {
+	e := p.env
+	for {
+		d, more := p.step()
+		if !more {
+			p.step = nil
+			return true
+		}
+		if d < 0 {
+			badDelay(p.name, d)
+		}
+		if d <= e.limit-e.now && (e.events.empty() || e.events.peekAt() > e.now+d) {
+			e.now += d
+			continue
+		}
+		e.Schedule(d, p.spinFn)
+		return false
+	}
+}
+
+// spinEvent runs p's next Spin steps in event context and, once one is
+// done, resumes p inside this event.
+func (p *Proc) spinEvent() {
+	if p.spinSteps() {
+		p.handoff()
+	}
 }
 
 // enterWait opens a blocking episode and returns its epoch.
