@@ -52,6 +52,10 @@ type Machine struct {
 	// Fig. 2 copy-share analysis.
 	CopyCycles int64
 
+	// stageBuf stages the bytes of every synchronous kernel copy (see
+	// stage).
+	stageBuf []byte
+
 	// copier is the installed Copier integration, if any.
 	copier *copierState
 

@@ -279,7 +279,7 @@ func (s *Socket) SendZeroCopy(t *Thread, buf mem.VA, n units.Bytes) (*ZeroCopyCo
 		t.Exec(cycles.SoftIRQPacket + cycles.NICDoorbell)
 		// The NIC reads user memory at transmit time.
 		skb := s.net.pool.alloc(t, n)
-		data := make([]byte, n)
+		data := t.m.stage(n)
 		if err = as.ReadAt(buf, data); err != nil {
 			as.Unpin(buf, n)
 			return

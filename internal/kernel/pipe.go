@@ -69,7 +69,7 @@ func (p *Pipe) Write(t *Thread, buf mem.VA, n units.Bytes) error {
 		}
 		t.Exec(cycles.PerPage(cycles.PageAllocZero, npages))
 		// Copy user data into the pipe pages.
-		data := make([]byte, n)
+		data := p.m.stage(n)
 		if err = t.Proc.AS.ReadAt(buf, data); err != nil {
 			return
 		}
@@ -142,7 +142,7 @@ func (p *Pipe) Read(t *Thread, buf mem.VA, n units.Bytes) (units.Bytes, error) {
 			got = n
 		}
 		// Gather out of the segment's frames.
-		data := make([]byte, got)
+		data := p.m.stage(got)
 		done := 0
 		off := seg.off
 		for _, f := range seg.frames {

@@ -108,6 +108,17 @@ func (t *Thread) Syscall(name string, fn func()) {
 	t.m.Env.Recorder().On("kernel:syscalls", obs.EvTrapReturn, int64(start), int64(t.Now()-start), name, int64(t.TID), 0)
 }
 
+// stage returns an n-byte buffer for a synchronous copy to read its
+// whole source into before it writes the destination, so overlapping
+// ranges copy as memmove does. It is one buffer per machine, grown to
+// the largest copy: nothing may yield between filling and draining it.
+func (m *Machine) stage(n units.Bytes) []byte {
+	if int(n) > cap(m.stageBuf) {
+		m.stageBuf = make([]byte, n)
+	}
+	return m.stageBuf[:n]
+}
+
 // KernelCopy is the kernel's synchronous copy between address spaces
 // using ERMS (copy_to_user/copy_from_user in the baseline). It
 // resolves faults on the fly, charging their costs.
@@ -118,7 +129,7 @@ func (t *Thread) KernelCopy(dstAS *mem.AddrSpace, dst mem.VA, srcAS *mem.AddrSpa
 	if err := t.resolveRange(srcAS, src, n, false); err != nil {
 		return err
 	}
-	buf := make([]byte, n)
+	buf := t.m.stage(n)
 	if err := srcAS.ReadAt(src, buf); err != nil {
 		return err
 	}
@@ -164,7 +175,7 @@ func (t *Thread) UserCopy(dst, src mem.VA, n units.Bytes) error {
 	if err := t.resolveRange(as, src, n, false); err != nil {
 		return err
 	}
-	buf := make([]byte, n)
+	buf := t.m.stage(n)
 	if err := as.ReadAt(src, buf); err != nil {
 		return err
 	}

@@ -326,6 +326,7 @@ type Signal struct {
 	name    string
 	blocked string // precomputed "signal:<name>" label, so Wait never concatenates
 	waiters []sigWaiter
+	stale   int // waiters entries whose WaitTimeout has timed out
 }
 
 // sigWaiter records one blocking episode by value: epoch pins which
@@ -367,6 +368,19 @@ func (s *Signal) WaitTimeout(p *Proc, d Time) bool {
 		h.Cancel()
 		return true
 	}
+	// The timed-out entry stays behind, stale. Once stale entries
+	// outnumber live ones, drop them in place; live ones keep their
+	// order, so Broadcast wakes in the same order.
+	s.stale++
+	if 2*s.stale > len(s.waiters) {
+		live := s.waiters[:0]
+		for _, w := range s.waiters {
+			if w.epoch == w.p.waitEpoch {
+				live = append(live, w)
+			}
+		}
+		s.waiters, s.stale = live, 0
+	}
 	return false
 }
 
@@ -386,7 +400,7 @@ func (s *Signal) Broadcast(e *Env) {
 	// Truncate in place: no proc runs during this loop (wakes are
 	// scheduled, not immediate), so the backing array is reusable for
 	// the next round of waiters without reallocating.
-	s.waiters = s.waiters[:0]
+	s.waiters, s.stale = s.waiters[:0], 0
 	for _, w := range ws {
 		if w.epoch != w.p.waitEpoch {
 			continue // stale entry: that episode already timed out
@@ -397,15 +411,7 @@ func (s *Signal) Broadcast(e *Env) {
 }
 
 // NWaiting reports how many processes are blocked on the signal.
-func (s *Signal) NWaiting() int {
-	n := 0
-	for _, w := range s.waiters {
-		if w.epoch == w.p.waitEpoch {
-			n++
-		}
-	}
-	return n
-}
+func (s *Signal) NWaiting() int { return len(s.waiters) - s.stale }
 
 // Queue is a FIFO wait queue releasing one waiter per Release call —
 // the building block for resources and run queues.

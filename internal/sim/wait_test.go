@@ -178,3 +178,45 @@ func TestWaitAtWindowEdge(t *testing.T) {
 		}
 	}
 }
+
+// TestWaitTimeoutDropsStaleEntries: on a signal nobody broadcasts,
+// every WaitTimeout times out and leaves its entry behind. Over 2^20
+// timeouts, with one sleeper and with three, the waiter list stays no
+// longer than the live waiters, and a warm timeout round allocates
+// nothing.
+func TestWaitTimeoutDropsStaleEntries(t *testing.T) {
+	const period = 10
+	for _, sleepers := range []int{1, 3} {
+		e := NewEnv()
+		s := NewSignal("never")
+		stop := false
+		for i := 0; i < sleepers; i++ {
+			e.Go("sleeper", func(p *Proc) {
+				for !stop {
+					s.WaitTimeout(p, period)
+				}
+			})
+		}
+		// Mid-period, every sleeper is blocked again.
+		at := Time(period / 2)
+		round := func() {
+			if err := e.Run(at); err != nil {
+				t.Fatal(err)
+			}
+			at += period
+		}
+		for r := 0; r < (1<<20)/sleepers; r++ {
+			round()
+			if n, live := len(s.waiters), s.NWaiting(); n > live || live != sleepers {
+				t.Fatalf("%d sleepers, round %d: %d entries for %d live waiters", sleepers, r, n, live)
+			}
+		}
+		if avg := testing.AllocsPerRun(100, round); avg != 0 {
+			t.Errorf("%d sleepers: warm timeout round allocates %.2f; want 0", sleepers, avg)
+		}
+		stop = true
+		if err := e.Run(Infinity); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
