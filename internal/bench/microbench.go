@@ -10,6 +10,7 @@ import (
 	"copier/internal/cycles"
 	"copier/internal/mem"
 	"copier/internal/sim"
+	"copier/internal/topo"
 )
 
 // MicroResult is one hot-path microbenchmark data point, serialized
@@ -273,6 +274,41 @@ func RunMicrobenches() MicroReport {
 			svc.NewClient("idle", as, as, nil).EnableShards(2)
 		}
 		env.Go("copierd", func(p *sim.Proc) { svc.ThreadMain(pollingCtx{benchCtx{p}}, 0) })
+		b.ReportAllocs()
+		b.ResetTimer()
+		if err := env.Run(sim.Time(b.N) * (cycles.PollIteration + cycles.SchedulePick)); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		svc.Stop()
+		if err := env.Run(env.Now() + cycles.XSave); err != nil {
+			b.Fatal(err)
+		}
+	}))
+
+	// The same idle polling on a 4-node sharded service: four polling
+	// threads, each sweeping its node's six of the 24 idle clients, and
+	// one op is one 100-cycle sweep period of all four. With one thread
+	// every wait skips its coroutine switch; with four, each thread's
+	// next wake sits behind the others' and no wait can, so this row
+	// measures the poll loop's event-context steps (sim.Env.Spin).
+	results = append(results, micro("core/idle-sweep-4node", 0, func(b *testing.B) {
+		env := sim.NewEnv()
+		tp := topo.NUMA(4, 2, 1<<20)
+		pm := mem.NewPhysMem(tp.TotalMem())
+		if err := pm.ConfigureNodes(tp.Nodes()); err != nil {
+			b.Fatal(err)
+		}
+		cfg := core.DefaultConfig()
+		cfg.Topo = tp
+		svc := core.NewService(env, pm, cfg)
+		for i := 0; i < 24; i++ {
+			as := mem.NewAddrSpace(pm)
+			svc.NewClientOn("idle", as, as, nil, i%tp.Nodes()).EnableShards(tp.CoresPerNode())
+		}
+		for slot := 0; slot < tp.Nodes(); slot++ {
+			env.Go("copierd", func(p *sim.Proc) { svc.ThreadMain(pollingCtx{benchCtx{p}}, slot) })
+		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		if err := env.Run(sim.Time(b.N) * (cycles.PollIteration + cycles.SchedulePick)); err != nil {
