@@ -121,6 +121,46 @@ type pollingCtx struct{ benchCtx }
 
 func (pollingCtx) BlockTimeout(*sim.Signal, sim.Time) bool { return true }
 
+// idleSweeps benchmarks idle polling: a service sharded over nodes
+// NUMA nodes (the flat service for one), one polling thread per node,
+// and 24 two-core sharded clients with nothing queued, the state a
+// fleet thread spends most sweeps in. The threads' NAPI sleeps end at
+// once, so they busy-poll for the whole run; one op is one 100-cycle
+// sweep period. A lone thread's waits skip their coroutine switch, but
+// with more threads each wake ties with another's, so every wait is an
+// event that runs the poll loop's next step (sim.Env.Spin).
+func idleSweeps(nodes int) func(b *testing.B) {
+	return func(b *testing.B) {
+		env := sim.NewEnv()
+		pm := mem.NewPhysMem(int64(nodes) << 20)
+		cfg := core.DefaultConfig()
+		if nodes > 1 {
+			cfg.Topo = topo.NUMA(nodes, 2, 1<<20)
+			if err := pm.ConfigureNodes(nodes); err != nil {
+				b.Fatal(err)
+			}
+		}
+		svc := core.NewService(env, pm, cfg)
+		as := mem.NewAddrSpace(pm)
+		for i := 0; i < 24; i++ {
+			svc.NewClientOn("idle", as, as, nil, i%nodes).EnableShards(2)
+		}
+		for slot := 0; slot < nodes; slot++ {
+			env.Go("copierd", func(p *sim.Proc) { svc.ThreadMain(pollingCtx{benchCtx{p}}, slot) })
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		if err := env.Run(sim.Time(b.N) * (cycles.PollIteration + cycles.SchedulePick)); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		svc.Stop()
+		if err := env.Run(env.Now() + cycles.XSave); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // RunMicrobenches runs the hot-path microbenchmarks covering the three
 // layers this repo optimizes — the simulator event queue, the service
 // ring/dispatch path, and the acopy userspace runtime — and returns
@@ -261,65 +301,9 @@ func RunMicrobenches() MicroReport {
 		}
 	}))
 
-	// Service idle polling: one op is one empty sweep of a one-node
-	// service whose 24 two-core sharded clients have nothing queued,
-	// the state a fleet thread spends most sweeps in. The thread's NAPI
-	// sleeps end at once, so it busy-polls for the whole run.
-	results = append(results, micro("core/idle-sweep", 0, func(b *testing.B) {
-		env := sim.NewEnv()
-		pm := mem.NewPhysMem(1 << 20)
-		svc := core.NewService(env, pm, core.DefaultConfig())
-		as := mem.NewAddrSpace(pm)
-		for i := 0; i < 24; i++ {
-			svc.NewClient("idle", as, as, nil).EnableShards(2)
-		}
-		env.Go("copierd", func(p *sim.Proc) { svc.ThreadMain(pollingCtx{benchCtx{p}}, 0) })
-		b.ReportAllocs()
-		b.ResetTimer()
-		if err := env.Run(sim.Time(b.N) * (cycles.PollIteration + cycles.SchedulePick)); err != nil {
-			b.Fatal(err)
-		}
-		b.StopTimer()
-		svc.Stop()
-		if err := env.Run(env.Now() + cycles.XSave); err != nil {
-			b.Fatal(err)
-		}
-	}))
-
-	// The same idle polling on a 4-node sharded service: four polling
-	// threads, each sweeping its node's six of the 24 idle clients, and
-	// one op is one 100-cycle sweep period of all four. With one thread
-	// every wait skips its coroutine switch; with four, each thread's
-	// next wake sits behind the others' and no wait can, so this row
-	// measures the poll loop's event-context steps (sim.Env.Spin).
-	results = append(results, micro("core/idle-sweep-4node", 0, func(b *testing.B) {
-		env := sim.NewEnv()
-		tp := topo.NUMA(4, 2, 1<<20)
-		pm := mem.NewPhysMem(tp.TotalMem())
-		if err := pm.ConfigureNodes(tp.Nodes()); err != nil {
-			b.Fatal(err)
-		}
-		cfg := core.DefaultConfig()
-		cfg.Topo = tp
-		svc := core.NewService(env, pm, cfg)
-		for i := 0; i < 24; i++ {
-			as := mem.NewAddrSpace(pm)
-			svc.NewClientOn("idle", as, as, nil, i%tp.Nodes()).EnableShards(tp.CoresPerNode())
-		}
-		for slot := 0; slot < tp.Nodes(); slot++ {
-			env.Go("copierd", func(p *sim.Proc) { svc.ThreadMain(pollingCtx{benchCtx{p}}, slot) })
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		if err := env.Run(sim.Time(b.N) * (cycles.PollIteration + cycles.SchedulePick)); err != nil {
-			b.Fatal(err)
-		}
-		b.StopTimer()
-		svc.Stop()
-		if err := env.Run(env.Now() + cycles.XSave); err != nil {
-			b.Fatal(err)
-		}
-	}))
+	results = append(results,
+		micro("core/idle-sweep", 0, idleSweeps(1)),
+		micro("core/idle-sweep-4node", 0, idleSweeps(4)))
 
 	// Service end-to-end: one op drives 40 back-to-back 64KB copies
 	// through submit → admit → dispatch → completion on the simulated

@@ -615,7 +615,7 @@ func (s *Service) ThreadMain(ctx Ctx, slot int) {
 	if c, ok := ctx.(interface{ Charge(sim.Time) }); ok {
 		l.charge = c.Charge
 	}
-	step, env := l.step, ctx.Env()
+	step, env := l.step, ctx.Env() // bound once: Spin allocates nothing
 	for l.at != doStop {
 		env.Spin(step)
 		switch l.at {
@@ -641,10 +641,7 @@ func (s *Service) ThreadMain(ctx Ctx, slot int) {
 				// the service digs out of the backlog.
 				budget *= 2
 			}
-			if s.serveClient(ctx, l.pick, budget) {
-				l.worked = true
-			}
-			l.pick = nil
+			l.worked = s.serveClient(ctx, l.pick, budget) || l.worked
 			l.at = atSwept
 		case doSleep:
 			l.sleep(ctx)
@@ -753,11 +750,10 @@ func (l *poller) step() (sim.Time, bool) {
 		case atPicked:
 			l.charge(cycles.SchedulePick)
 			if l.full || s.epoch != l.epoch || s.now() >= l.quiet.until {
-				l.pick = s.pickClient(l.mine, s.now())
-			}
-			if l.pick != nil {
-				l.at = doServe
-				return 0, false
+				if l.pick = s.pickClient(l.mine, s.now()); l.pick != nil {
+					l.at = doServe
+					return 0, false
+				}
 			}
 			if l.full && !l.worked {
 				l.quiet = quietSweep{l.epoch, nextTrigger(l.mine, l.admitAt)}

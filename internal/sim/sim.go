@@ -18,11 +18,9 @@
 //     Signal/Queue until another process wakes it. A Wait whose wake
 //     would be the loop's very next event just moves the clock, with
 //     no switch: nothing else can run in between, so no one can tell.
-//   - Env.Spin runs a process's wait loop without the process: each
-//     step after a wait that must switch runs in that wait's event,
-//     and the process is switched back in only when a step is done.
-//     A polling loop whose steps need no stack thus costs one event
-//     per wait, not two coroutine switches.
+//   - Env.Spin runs a process's wait loop in event context: a loop
+//     whose steps need no stack costs one event per wait, not two
+//     coroutine switches.
 //   - Events scheduled for the same instant fire in scheduling order
 //     (a monotone sequence number breaks ties), never concurrently.
 package sim
@@ -115,8 +113,7 @@ func badDelay(who string, d Time) {
 	panic(fmt.Sprintf("sim: %s: negative delay %d", who, d))
 }
 
-// spinOutside reports a Spin call outside a process body, out of line
-// for the same reason as badDelay.
+// spinOutside panics out of line, for the same reason as badDelay.
 //
 //go:noinline
 func spinOutside() { panic("sim: Spin outside a process") }
@@ -243,23 +240,14 @@ func (p *Proc) Wait(d Time) {
 	p.yield()
 }
 
-// Spin runs the calling process's loop
-//
-//	for {
-//		d, more := step()
-//		if !more {
-//			return
-//		}
-//		p.Wait(d)
-//	}
-//
-// with the same events in the same order, but without a coroutine
-// switch per wait. A wait that Wait would take switch-free just moves
-// the clock, and the next step runs at once. Any other wait schedules
-// one event, where Wait would have scheduled the wake, and the next
-// step runs inside that event's callback. The step that reports done
-// switches back into the process inside that same event, where Wait's
-// wake would have resumed it, and Spin returns.
+// Spin runs the calling process's loop `for { d, more := step(); if
+// !more { return }; p.Wait(d) }` with the same events in the same
+// order, but without a coroutine switch per wait. A wait that Wait
+// would take switch-free just moves the clock, and the next step runs
+// at once. Any other wait schedules one event, where Wait would have
+// scheduled the wake, and the next step runs in that event. The step
+// that reports done switches back into the process inside that same
+// event, where Wait's wake would have resumed it, and Spin returns.
 //
 // step may run in event context, so it must not block, wait or spin:
 // it may read the clock, schedule, broadcast and spawn. Spin panics
