@@ -61,19 +61,30 @@ func (d *Descriptor) NotifyProgress(e *sim.Env) {
 
 // NewDescriptor creates a descriptor for a destination range.
 func NewDescriptor(base mem.VA, length, segSize units.Bytes) *Descriptor {
+	d := new(Descriptor)
+	d.init(base, length, segSize)
+	return d
+}
+
+// init points d at a destination range with every segment clear and
+// no error or watcher, keeping d's bitmap storage when it is large
+// enough.
+func (d *Descriptor) init(base mem.VA, length, segSize units.Bytes) {
 	if segSize <= 0 {
 		segSize = DefaultSegSize
 	}
 	if length < 0 {
 		panic("core: negative descriptor length")
 	}
-	n := numSegs(length, segSize)
-	return &Descriptor{
-		Base:    base,
-		Len:     length,
-		SegSize: segSize,
-		bits:    make([]uint64, (n+63)/64),
+	words := (numSegs(length, segSize) + 63) / 64
+	bits := d.bits
+	if cap(bits) < words {
+		bits = make([]uint64, words)
+	} else {
+		bits = bits[:words]
+		clear(bits)
 	}
+	*d = Descriptor{Base: base, Len: length, SegSize: segSize, bits: bits}
 }
 
 func numSegs(length, segSize units.Bytes) int {

@@ -356,7 +356,7 @@ func (s *Service) prepare(ctx Ctx, c *Client, t *Task, lo, hi units.Bytes, chunk
 		}
 	}
 	if t.issued == nil {
-		t.issued = NewDescriptor(t.Dst, t.Len, t.SegSize)
+		t.issued = s.takeIssued(t.Dst, t)
 	}
 	// Walk maximal runs of not-yet-issued segments inside the window.
 	for runLo := lo; runLo < hi; {
@@ -401,6 +401,13 @@ func (s *Service) prepareRun(ctx Ctx, c *Client, t *Task, lo, hi units.Bytes, ch
 	parts := s.resolveSourcesRange(ctx, c, t, lo, runLen)
 	if err := s.faultAndPin(ctx, t.DstAS, t.Dst+mem.VA(lo), runLen, true); err != nil {
 		return chunks, err
+	}
+	if t.pins == nil {
+		if n := len(s.sparePins); n > 0 {
+			t.pins = s.sparePins[n-1]
+			s.sparePins[n-1] = nil
+			s.sparePins = s.sparePins[:n-1]
+		}
 	}
 	t.pins = append(t.pins, pinRec{t.DstAS, t.Dst + mem.VA(lo), runLen})
 	for _, p := range parts {
@@ -461,6 +468,20 @@ func (s *Service) prepareRun(ctx Ctx, c *Client, t *Task, lo, hi units.Bytes, ch
 // granularity (subtasks larger than this are cut).
 const dmaPieceMax = 8 << 10
 
+// takeIssued returns an issued tracker for t's destination at base,
+// reusing one a finished task gave back when there is one.
+func (s *Service) takeIssued(base mem.VA, t *Task) *Descriptor {
+	n := len(s.spareIssued)
+	if n == 0 {
+		return NewDescriptor(base, t.Len, t.SegSize)
+	}
+	d := s.spareIssued[n-1]
+	s.spareIssued[n-1] = nil
+	s.spareIssued = s.spareIssued[:n-1]
+	d.init(base, t.Len, t.SegSize)
+	return d
+}
+
 // preparePhys builds the execution plan of a physically-addressed
 // kernel task: no translation, faults or pinning — just zip the
 // source and destination scatter lists into dispatch pieces,
@@ -473,7 +494,7 @@ func (s *Service) preparePhys(t *Task, chunks []chunk) ([]chunk, error) {
 		return chunks, fmt.Errorf("core: phys task %d scatter lists disagree with length %d", t.ID, t.Len)
 	}
 	if t.issued == nil {
-		t.issued = NewDescriptor(0, t.Len, t.SegSize)
+		t.issued = s.takeIssued(0, t)
 	}
 	di, si := 0, 0
 	var dOff, sOff, dstOff units.Bytes
@@ -1070,6 +1091,16 @@ func (s *Service) finishTask(ctx Ctx, c *Client, t *Task) {
 	// (ctx.Exec): a csync_all caller observing executed==true must
 	// also find the FUNC already delegated.
 	t.executed = true
+	// The task no longer needs its issued tracker, and its pins are
+	// released below: both go back to the service for later tasks.
+	// Detaching them now means a handler that reuses and resubmits t
+	// during the yields below starts from fresh state.
+	if t.issued != nil && t.inflight == 0 {
+		s.spareIssued = append(s.spareIssued, t.issued)
+		t.issued = nil
+	}
+	pins := t.pins
+	t.pins = nil
 	s.env.Recorder().At(obs.EvTaskComplete, int64(s.now()), c.Name, int64(t.ID), int64(s.now()-t.enqueuedAt))
 	c.backlogBytes -= int64(t.Len)
 	s.backlogBytes -= int64(t.Len)
@@ -1087,8 +1118,10 @@ func (s *Service) finishTask(ctx Ctx, c *Client, t *Task) {
 	}
 	c.Progress.Broadcast(ctx.Env())
 	ctx.Exec(deferredCost)
-	s.unpinAll(ctx, t.pins)
-	t.pins = t.pins[:0]
+	s.unpinAll(ctx, pins)
+	if pins != nil {
+		s.sparePins = append(s.sparePins, pins[:0])
+	}
 }
 
 // failTask drops a task that failed security checks or faulted

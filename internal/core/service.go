@@ -310,6 +310,11 @@ type Service struct {
 	// completion closures) between dispatch rounds. Safe without
 	// locking: pool operations never span a yield.
 	dmaBatchPool []*dmaBatch
+	// spareIssued and sparePins hold the issued trackers and pin
+	// lists that finished tasks gave back (finishTask), for the next
+	// tasks prepare to reuse.
+	spareIssued []*Descriptor
+	sparePins   [][]pinRec
 
 	// kernelAS, when set, identifies the kernel address space: its
 	// pages are unswappable and need no pinning.

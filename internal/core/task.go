@@ -76,11 +76,12 @@ type Handler struct {
 //copier:lifecycle test Aborted done
 //copier:lifecycle op Err built,submitted,done -> same
 type Task struct {
-	ID     uint64
-	Kind   Kind
+	ID   uint64
+	Kind Kind
+	// KMode records which queue set the task was submitted to. It
+	// sits beside Kind so the two share one word.
+	KMode  bool
 	Client *Client
-	// KMode records which queue set the task was submitted to.
-	KMode bool
 
 	// Copy fields.
 	Src, Dst     mem.VA
@@ -158,9 +159,10 @@ type Task struct {
 // (or failed) task so the identical request can be resubmitted.
 // Steady-state drivers recycle their task objects this way instead of
 // allocating fresh ones per operation. The request fields (Src, Dst,
-// Len, ...) and the task ID are kept; Desc and the issued tracker are
-// cleared in place. Reuse of a task with work still in flight is a
-// caller bug.
+// Len, ...) and the task ID are kept; Desc, and the issued tracker if
+// the task still holds one, are cleared in place (a task that finished
+// gave its tracker back to the service). Reuse of a task with work
+// still in flight is a caller bug.
 func (t *Task) Reuse() {
 	if t.inflight != 0 {
 		panic("core: Reuse of task with in-flight DMA")
