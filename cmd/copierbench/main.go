@@ -23,12 +23,12 @@
 // -cpuprofile FILE writes a runtime/pprof CPU profile of the selected
 // experiments (not of output writing) to FILE, for `go tool pprof`.
 //
-// -shards N runs parallelizable experiments (fig9, fig12b, chaos,
-// fleet, fleetpar, chaosfleet) on N host worker threads. Output is
-// byte-identical at every value — the conservative-lookahead window
-// and the job pool's index-ordered merge guarantee it, and the output
-// goldens (internal/bench/testdata/golden, checked at 1 and 4
-// workers) enforce it — so the flag changes wall clock only.
+// -shards N runs the independent simulation cells of fig9, fig12b,
+// chaos, fleet and chaosfleet on a pool of N host worker threads.
+// Output is byte-identical at every value — the job pool replays each
+// cell's recording in cell order, and the output goldens
+// (internal/bench/testdata/golden, checked at 1 and 4 workers) enforce
+// it — so the flag changes wall clock only.
 package main
 
 import (
@@ -93,7 +93,7 @@ func main() {
 	trace := flag.String("trace", "", "write Chrome/Perfetto trace_event JSON to this file")
 	metrics := flag.Bool("metrics", false, "print event-count and latency-histogram summary")
 	benchjson := flag.String("benchjson", "", "run hot-path microbenchmarks and write JSON results to this file")
-	shards := flag.Int("shards", 1, "host worker threads for parallelizable experiments (output is byte-identical at any value)")
+	shards := flag.Int("shards", 1, "job-pool host worker threads for fig9, fig12b, chaos, fleet and chaosfleet (output is byte-identical at any value)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")
 	flag.Parse()
 

@@ -92,10 +92,9 @@ type Experiment struct {
 var registry []Experiment
 
 // parWorkers is the host worker-thread count experiments use for
-// independent simulation cells (sim.RunJobs) and sharded runs
-// (sim.ShardSet). Output bytes are identical for every value — only
-// wall clock changes; the output goldens, checked at 1 and 4 workers,
-// enforce it.
+// independent simulation cells (sim.RunJobs). Output bytes are
+// identical for every value — only wall clock changes; the output
+// goldens, checked at 1 and 4 workers, enforce it.
 var parWorkers = 1
 
 // SetWorkers configures how many host threads experiments with
@@ -106,9 +105,6 @@ func SetWorkers(n int) {
 	}
 	parWorkers = n
 }
-
-// Workers reports the configured worker-thread count.
-func Workers() int { return parWorkers }
 
 func register(id, paper string, run func(s Scale) []*Table) {
 	registry = append(registry, Experiment{ID: id, Paper: paper, Run: run})

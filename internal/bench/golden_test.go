@@ -24,19 +24,18 @@ import (
 // only one that breaks repeatability.
 //
 // The parallelizable experiments run a second time on 4 host workers
-// and must match the same file: the conservative-lookahead windows
-// (sim.ShardSet) and the job pool (sim.RunJobs) may change wall clock,
-// never bytes.
+// and must match the same file: the job pool (sim.RunJobs) may change
+// wall clock, never bytes.
 //
 // Regenerate with: go test ./internal/bench -run TestGoldens -update
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
 // parallelizable lists the experiments whose cells run through
-// sim.RunJobs or sim.ShardSet (the ones SetWorkers affects).
+// sim.RunJobs (the ones SetWorkers affects).
 var parallelizable = map[string]bool{
 	"fig9": true, "fig12b": true, "chaos": true,
-	"fleet": true, "fleetpar": true, "chaosfleet": true,
+	"fleet": true, "chaosfleet": true,
 }
 
 // goldenChecks holds the semantic assertions run on an experiment's

@@ -47,7 +47,7 @@ func isolationRun(sharesA, sharesB int64) (int64, int64) {
 	// Harness windows, not hardware costs: how long the saturated
 	// phase runs and how long the service gets to drain after Stop.
 	const (
-		runWindow   sim.Time = 15_000_000
+		loadWindow  sim.Time = 15_000_000
 		drainWindow sim.Time = 1_000_000
 	)
 	env := sim.NewEnv()
@@ -79,7 +79,7 @@ func isolationRun(sharesA, sharesB int64) (int64, int64) {
 	ca := mk("A", sharesA)
 	cb := mk("B", sharesB)
 	env.Go("copierd", func(p *sim.Proc) { svc.ThreadMain(benchCtx{p}, 0) })
-	if err := env.Run(runWindow); err != nil {
+	if err := env.Run(loadWindow); err != nil {
 		panic(err)
 	}
 	svc.Stop()

@@ -71,14 +71,14 @@ type ChaosSLO struct {
 }
 
 // ParallelResult is one point of the parallel-speedup series: the
-// sharded fleet (fleetpar.go) timed at a host worker count. The
-// simulated work and the output bytes are identical at every point —
-// the shards=1-vs-N identity goldens enforce that — so NsPerOp
-// isolates the wall-clock effect of the conservative parallel event
-// loop. Speedup is relative to the series' serial point on the same
-// host and is bounded above by min(shards, CPUs). A worker count above
-// the host's CPU count would time-slice, not scale, so that point is
-// not timed: Unmeasured names the CPU count instead.
+// fig9 experiment at Quick scale, whose cells run through the job pool
+// (sim.RunJobs), timed at a host worker count. The simulated work and
+// the output bytes are identical at every point — the 4-worker golden
+// reruns enforce that — so NsPerOp isolates the wall-clock effect of
+// the pool. Speedup is relative to the series' serial point on the
+// same host and is bounded above by the CPU count. A worker count
+// above the host's CPU count would time-slice, not scale, so that
+// point is not timed: Unmeasured names the CPU count instead.
 type ParallelResult struct {
 	Workers    int     `json:"workers"`
 	NsPerOp    float64 `json:"ns_per_op,omitempty"`
@@ -92,7 +92,7 @@ type MicroReport struct {
 	Go     string `json:"go"`
 	// CPUs records the host's logical CPU count — the context needed
 	// to judge the parallel series (a single-CPU host cannot speed
-	// up, no matter how well the windows scale).
+	// up, however independent the pool's jobs are).
 	CPUs     int              `json:"cpus"`
 	Results  []MicroResult    `json:"results"`
 	Fleet    []FleetSLO       `json:"fleet,omitempty"`
@@ -398,20 +398,22 @@ func RunMicrobenches() MicroReport {
 		})
 	}
 
-	// Parallel event loop: wall-clock the sharded fleet at increasing
-	// host worker counts. The per-point simulation is identical; only
-	// the host threading changes.
+	// Job pool: wall-clock fig9 at Quick scale at increasing host
+	// worker counts. The per-point simulation is identical; only the
+	// host threading changes.
+	fig9, _ := ByID("fig9")
+	prevWorkers := parWorkers
 	var parallel []ParallelResult
 	var serialNs float64
 	for _, w := range []int{1, 2, 4} {
-		w := w
 		if w > runtime.NumCPU() {
 			parallel = append(parallel, ParallelResult{Workers: w, Unmeasured: fmt.Sprintf("%d CPUs", runtime.NumCPU())})
 			continue
 		}
+		SetWorkers(w)
 		r := testing.Benchmark(func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				FleetParRun(w)
+				fig9.Run(Quick)
 			}
 		})
 		ns := float64(r.T.Nanoseconds()) / float64(r.N)
@@ -424,6 +426,7 @@ func RunMicrobenches() MicroReport {
 		}
 		parallel = append(parallel, pr)
 	}
+	SetWorkers(prevWorkers)
 
 	return MicroReport{
 		Schema:   "copier-microbench/v1",

@@ -29,14 +29,6 @@ const (
 	// at DistRemote: ~90 ns = 261 cycles at 2.9 GHz. Intermediate
 	// distances interpolate linearly.
 	numaHopCycles = 261
-
-	// NICRemoteSubmitFixed is the fixed framing cost of handing a copy
-	// request to another node's service shard over the kernel-bypass
-	// submission path (doorbell write, remote ring fetch, completion
-	// routing): ~5 us = 14500 cycles at 2.9 GHz. This is the floor of
-	// every cross-shard interaction, which is what makes it usable as
-	// the conservative-lookahead horizon for the parallel simulator.
-	NICRemoteSubmitFixed = 5 * CyclesPerMicrosecond
 )
 
 // NUMACopyCost returns the engine-busy cost of copying n bytes when
@@ -59,14 +51,4 @@ func NUMAXferLatency(dist int) sim.Time {
 		return 0
 	}
 	return sim.Time(dist-DistLocal) * numaHopCycles / (DistRemote - DistLocal)
-}
-
-// RemoteSubmitLatency returns the virtual latency of submitting a copy
-// request to a service shard on a node at SLIT distance dist: the
-// fixed kernel-bypass framing cost plus the distance-scaled hop
-// latency. Monotone in dist, so the minimum over all remote node pairs
-// (topo.MinRemoteDist) lower-bounds every cross-shard interaction —
-// the safe-horizon lookahead of sim.ShardSet.
-func RemoteSubmitLatency(dist int) sim.Time {
-	return NICRemoteSubmitFixed + NUMAXferLatency(dist)
 }

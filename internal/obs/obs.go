@@ -218,20 +218,6 @@ func (h *Histogram) Observe(v int64) {
 	}
 }
 
-// Merge folds o's observations into h, bucket-wise. Merging per-shard
-// histograms in a fixed order is deterministic because the buckets are
-// plain sums.
-func (h *Histogram) Merge(o *Histogram) {
-	for i := range o.buckets {
-		h.buckets[i] += o.buckets[i]
-	}
-	h.count += o.count
-	h.sum += o.sum
-	if o.max > h.max {
-		h.max = o.max
-	}
-}
-
 // Count returns the number of observations.
 func (h *Histogram) Count() int64 { return h.count }
 

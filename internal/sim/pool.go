@@ -8,8 +8,8 @@ package sim
 
 // Host worker threads over fully independent simulations; each job's
 // output stream is deterministic on its own and the merge is by job
-// index, so worker count cannot affect bytes. Enforced by the
-// shards=1-vs-N identity tests in internal/bench.
+// index, so worker count cannot affect bytes. Enforced by the 4-worker
+// reruns of the output goldens in internal/bench.
 //copiervet:ignore-file det-go,det-sync host worker threads over independent simulation cells; recordings merge in job-index order so worker count cannot affect output bytes
 
 import (
@@ -17,6 +17,13 @@ import (
 
 	"copier/internal/obs"
 )
+
+// privateRingCap bounds each job's private recorder ring. Private
+// rings keep parallel emission race-free; they are merged into the
+// ambient recorder deterministically after the run. The cap is the
+// same at every worker count, so retained-event sets (and therefore
+// exports) cannot depend on the degree of parallelism.
+const privateRingCap = 1 << 15
 
 // JobCtx is one pooled job's context: its index in the job list and
 // the recorder its environments feed.
@@ -43,6 +50,11 @@ func (jc *JobCtx) NewEnv() *Env {
 // each creates its environments via jc.NewEnv. After all jobs finish,
 // private recordings are replayed into the ambient recorder in job
 // order, so output is identical for every worker count.
+//
+// A job's panic reaches RunJobs' caller at every worker count, as it
+// does from a serial loop: a worker stops at its first panicking job,
+// and once every worker is done RunJobs re-panics with the value of
+// the lowest-index job that panicked, replaying no recording.
 func RunJobs(n, workers int, job func(jc *JobCtx)) {
 	if n <= 0 {
 		return
@@ -74,21 +86,37 @@ func RunJobs(n, workers int, job func(jc *JobCtx)) {
 			job(jc)
 		}
 	} else {
+		panics := make([]any, n)
 		var wg sync.WaitGroup
 		for j := 0; j < workers; j++ {
 			wg.Add(1)
 			go func(j int) {
 				defer wg.Done()
 				for k := j; k < n; k += workers {
-					job(jcs[k])
+					if panics[k] = runJob(job, jcs[k]); panics[k] != nil {
+						return
+					}
 				}
 			}(j)
 		}
 		wg.Wait()
+		for _, v := range panics {
+			if v != nil {
+				panic(v)
+			}
+		}
 	}
 	if ambient != nil {
 		for _, jc := range jcs {
 			jc.rec.Events(func(ev *obs.Event) { ambient.Emit(*ev) })
 		}
 	}
+}
+
+// runJob runs one job on a worker thread and returns its panic value,
+// or nil, so that the panic can be raised again on RunJobs' caller.
+func runJob(job func(jc *JobCtx), jc *JobCtx) (v any) {
+	defer func() { v = recover() }()
+	job(jc)
+	return nil
 }

@@ -39,10 +39,6 @@ type Time int64
 // Infinity is a time later than any event the simulator will produce.
 const Infinity Time = 1<<63 - 1
 
-// tick is the clock's resolution, one cycle: the instant after t is
-// t+tick.
-const tick Time = 1
-
 // EventHandle allows a scheduled event to be canceled before it fires.
 // Handles identify events by sequence number, so a handle outliving
 // its event (whose arena slot may have been recycled) cancels nothing.
@@ -68,7 +64,7 @@ func (h EventHandle) Cancel() {
 // interaction happens from process bodies or between Run calls.
 type Env struct {
 	now     Time
-	limit   Time // last instant the running loop pops at: Run's until, a window's last cycle
+	limit   Time // last instant the running Run pops at: its until
 	events  eventQueue
 	seq     uint64
 	procs   []*Proc // all spawned, for deadlock diagnosis

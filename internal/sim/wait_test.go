@@ -136,49 +136,6 @@ func TestLoneSleeperSchedulesNothing(t *testing.T) {
 	}
 }
 
-// TestWaitAtWindowEdge runs a window [0, 100): shard 0's Wait ends at
-// the window's last cycle, 99, and may finish inside it; shard 1's
-// ends at 100, where a cross-shard event from shard 0 lands too. That
-// one must not finish early: the event, delivered at the boundary,
-// would then be queued behind what the woken proc schedules at 100
-// instead of ahead of it.
-func TestWaitAtWindowEdge(t *testing.T) {
-	const lookahead = 100
-	want := "shard0: A@99\nshard1: B@100 cross@100 B-event@100\n"
-	for _, workers := range []int{1, 4} {
-		set := NewShardSet(2, lookahead, workers)
-		logs := make([][]string, 2)
-		note := func(i int, what string) {
-			logs[i] = append(logs[i], fmt.Sprintf("%s@%d", what, set.Shard(i).Now()))
-		}
-		set.Shard(0).Go("A", func(p *Proc) {
-			set.Send(0, 1, lookahead, func() { note(1, "cross") })
-			p.Wait(lookahead - tick)
-			note(0, "A")
-		})
-		set.Shard(1).Go("B", func(p *Proc) {
-			p.Wait(lookahead)
-			note(1, "B")
-			set.Shard(1).Schedule(0, func() { note(1, "B-event") })
-		})
-		if err := set.Run(Infinity); err != nil {
-			t.Fatal(err)
-		}
-		var b strings.Builder
-		for i, l := range logs {
-			fmt.Fprintf(&b, "shard%d: %s\n", i, strings.Join(l, " "))
-		}
-		if got := b.String(); got != want {
-			t.Errorf("workers=%d:\n%swant:\n%s", workers, got, want)
-		}
-		// Shard 0 scheduled only A's start: its Wait took the
-		// switch-free path inside the window.
-		if s := set.Shard(0).seq; s != 1 {
-			t.Errorf("workers=%d: shard0 scheduled %d events, want 1", workers, s)
-		}
-	}
-}
-
 // TestWaitTimeoutDropsStaleEntries: on a signal nobody broadcasts,
 // every WaitTimeout times out and leaves its entry behind. Over 2^20
 // timeouts, with one sleeper and with three, the waiter list stays no

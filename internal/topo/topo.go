@@ -146,30 +146,6 @@ func (t *Topology) NodeOfCore(c int) int {
 	return n
 }
 
-// MinRemoteDist returns the smallest SLIT distance between two
-// distinct nodes — the closest cross-node interaction the machine can
-// express. On a flat (single-node) topology it returns the local
-// distance. cycles.RemoteSubmitLatency at this distance lower-bounds
-// every cross-node submission, which makes it the safe-horizon
-// lookahead for sharded simulation.
-func (t *Topology) MinRemoteDist() int {
-	if len(t.dist) == 1 {
-		return t.dist[0][0]
-	}
-	min := 0
-	for a := range t.dist {
-		for b := range t.dist[a] {
-			if a == b {
-				continue
-			}
-			if d := t.dist[a][b]; min == 0 || d < min {
-				min = d
-			}
-		}
-	}
-	return min
-}
-
 // PairDist returns the distance an engine on engineNode experiences
 // for a transfer reading srcNode and writing dstNode: the worst of
 // its two legs, since the slower link bounds the transfer.

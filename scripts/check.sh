@@ -69,25 +69,15 @@ echo "== benchmark module =="
 # along for the process-kill teardown tests (client death must not
 # wedge service threads or leak pins); internal/bench for the fleet
 # smoke (per-core shard rings + per-node engines under load);
-# internal/sim for the parallel event loop (cross-shard handoff
-# stress across worker threads). -short skips TestGoldens, so the
-# fleetpar golden runs again under -race: its 4-worker rerun is the
-# one run of ShardSet windows over real service procs on worker
-# threads, where Proc.Wait's switch-free path reads the shard's
-# window bound.
+# internal/sim for the job pool (RunJobs' merge and panic tests across
+# worker threads). -short skips TestGoldens, so two goldens run again
+# under -race: their 4-worker reruns put sim.RunJobs on worker threads
+# over whole worlds, chaos over the copy service and fig12b over the
+# kernel and proxy apps.
 echo "== go test -race (concurrency-bearing packages) =="
 go test -race ./internal/acopy ./internal/core ./internal/kernel ./internal/sim
 go test -race -short ./internal/bench
-go test -race -run 'TestGoldens/^fleetpar$' ./internal/bench
-
-# Parallel-loop identity smoke: the sharded fleet must print the bytes
-# of its checked-in golden (tables, obs summary, trace digest) at 1 and
-# 4 host workers. The full matrix (every experiment, plus the 4-worker
-# rerun of fig9/fig12b/chaos/fleet/fleetpar/chaosfleet) runs in
-# `go test ./...` above; this re-runs the cheapest parallel golden
-# explicitly so a broken conservative window fails with its own banner.
-echo "== shards=1 vs 4 identity smoke =="
-go test -run 'TestGoldens/^fleetpar$' ./internal/bench
+go test -race -run 'TestGoldens/^(chaos|fig12b)$' ./internal/bench
 
 # Fleet smoke: one small open-loop run per topology shape through the
 # sharded service; fails on lost completions, disordered quantiles,
