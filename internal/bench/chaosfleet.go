@@ -129,10 +129,8 @@ func chaosFleetRun(env *sim.Env, cc chaosFleetConfig) *ChaosFleetResult {
 	tp := cc.tp
 	nn := tp.Nodes()
 	pm := mem.NewPhysMem(tp.TotalMem())
-	if nn > 1 {
-		if err := pm.ConfigureNodes(nn); err != nil {
-			panic(err)
-		}
+	if err := pm.ConfigureNodes(nn); err != nil {
+		panic(err)
 	}
 	svcCfg := core.DefaultConfig()
 	svcCfg.Topo = tp
@@ -176,9 +174,7 @@ func chaosFleetRun(env *sim.Env, cc chaosFleetConfig) *ChaosFleetResult {
 	for i := range clients {
 		node := i % nn
 		as := mem.NewAddrSpace(pm)
-		if nn > 1 {
-			as.SetHomeNode(node)
-		}
+		as.SetHomeNode(node)
 		g := prod
 		if i%2 == 1 {
 			g = batch

@@ -59,10 +59,8 @@ func fleetRun(env *sim.Env, fc fleetConfig) *FleetResult {
 	tp := fc.tp
 	nn := tp.Nodes()
 	pm := mem.NewPhysMem(tp.TotalMem())
-	if nn > 1 {
-		if err := pm.ConfigureNodes(nn); err != nil {
-			panic(err)
-		}
+	if err := pm.ConfigureNodes(nn); err != nil {
+		panic(err)
 	}
 	svcCfg := core.DefaultConfig()
 	svcCfg.Topo = tp
@@ -86,9 +84,7 @@ func fleetRun(env *sim.Env, fc fleetConfig) *FleetResult {
 	for i := range clients {
 		node := i % nn
 		as := mem.NewAddrSpace(pm)
-		if nn > 1 {
-			as.SetHomeNode(node)
-		}
+		as.SetHomeNode(node)
 		c := svc.NewClientOn(fmt.Sprintf("fleet-%d", i), as, as, nil, node)
 		c.EnableShards(tp.CoresPerNode())
 		src := as.MMap(maxSize, mem.PermRead|mem.PermWrite, "s")

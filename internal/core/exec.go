@@ -1030,9 +1030,6 @@ func (s *Service) engineEstimate(e int, now sim.Time, pend []sim.Time, ch chunk)
 //
 //copier:noalloc
 func (s *Service) cpuCopyCost(ch chunk, piece units.Bytes) sim.Time {
-	if s.cfg.Topo == nil {
-		return cycles.CopyCost(s.cpuUnit(), piece)
-	}
 	node := ch.task.Client.Node
 	dist := s.cfg.Topo.PairDist(node, s.pm.NodeOf(ch.src.Frame), s.pm.NodeOf(ch.dst.Frame))
 	return cycles.NUMACopyCost(s.cpuUnit(), piece, dist)

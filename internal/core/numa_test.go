@@ -129,7 +129,7 @@ func runFlatWorkload(t *testing.T, cfg Config) (sim.Time, int64, int64) {
 	if done != tasks {
 		t.Fatalf("completed %d/%d tasks", done, tasks)
 	}
-	return doneAt, svc.Stats.TasksExecuted, svc.DMA().BytesCopied
+	return doneAt, svc.Stats.TasksExecuted, svc.DMAs()[0].BytesCopied
 }
 
 // A single-node topology must reproduce the flat service cycle for

@@ -88,8 +88,7 @@ func TestClientsOfCacheMatchesReference(t *testing.T) {
 				switch {
 				case op < 4 || len(open) == 0:
 					as := mem.NewAddrSpace(pm)
-					// nodes+1 exercises the out-of-range fallback to node 0.
-					c := s.NewClientOn(fmt.Sprintf("c%d", step), as, as, nil, rng.IntN(nodes+1))
+					c := s.NewClientOn(fmt.Sprintf("c%d", step), as, as, nil, rng.IntN(nodes))
 					open = append(open, c)
 				case op < 6:
 					i := rng.IntN(len(open))
@@ -150,5 +149,28 @@ func TestClientsOfAllocFree(t *testing.T) {
 	}
 	if n != 16*102 {
 		t.Fatalf("poll saw %d client entries, want %d", n, 16*102)
+	}
+}
+
+// A client homed on a node the service does not have must fail loudly,
+// as kernel.NewProcessOn and the DMA constructor do, instead of being
+// served by node 0's threads and engine.
+func TestNewClientOnRejectsUnknownNode(t *testing.T) {
+	for _, nodes := range []int{1, 4} {
+		s, pm := newPartitionService(t, nodes)
+		for _, node := range []int{-1, nodes} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("nodes=%d: NewClientOn(node %d) did not panic", nodes, node)
+					}
+				}()
+				as := mem.NewAddrSpace(pm)
+				s.NewClientOn("c", as, as, nil, node)
+			}()
+		}
+		if len(s.clients) != 0 {
+			t.Errorf("nodes=%d: rejected clients registered: %d", nodes, len(s.clients))
+		}
 	}
 }

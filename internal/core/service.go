@@ -132,9 +132,9 @@ type Config struct {
 	// Topo places the service on a machine topology: one DMA engine
 	// per node, thread slot i serving node i%nodes, clients pinned to
 	// their node's threads, and NUMA-aware engine steering with
-	// distance-scaled costs. nil or a single-node topology selects the
-	// flat machine — the one-node case of the same service, which
-	// alone auto-scales its thread count (MaxThreads).
+	// distance-scaled costs. A nil topology is the single-node one:
+	// the flat machine, which alone auto-scales its thread count
+	// (MaxThreads).
 	Topo *topo.Topology
 }
 
@@ -329,13 +329,10 @@ type Service struct {
 // and simulation environment.
 func NewService(env *sim.Env, pm *mem.PhysMem, cfg Config) *Service {
 	cfg = cfg.withDefaults()
-	nn := 1
-	if cfg.Topo != nil {
-		nn = cfg.Topo.Nodes()
-		if pm.NumNodes() != nn {
-			panic(fmt.Sprintf("core: topology has %d nodes but physical memory is partitioned into %d (call pm.ConfigureNodes)",
-				nn, pm.NumNodes()))
-		}
+	nn := cfg.Topo.Nodes()
+	if pm.NumNodes() != nn {
+		panic(fmt.Sprintf("core: topology has %d nodes but physical memory is partitioned into %d (call pm.ConfigureNodes)",
+			nn, pm.NumNodes()))
 	}
 	s := &Service{
 		env:         env,
@@ -349,8 +346,7 @@ func NewService(env *sim.Env, pm *mem.PhysMem, cfg Config) *Service {
 	}
 	s.dmas = make([]*hw.DMAChannel, nn)
 	for i := range s.dmas {
-		s.dmas[i] = hw.NewDMAChannel(env, pm)
-		s.dmas[i].SetNUMA(i, cfg.Topo)
+		s.dmas[i] = hw.NewDMAChannel(env, pm, i, cfg.Topo)
 	}
 	s.health = make([]engineHealth, nn)
 	s.retryTokens = retryBudget
@@ -365,10 +361,6 @@ func (s *Service) numNodes() int { return len(s.dmas) }
 
 // ATCacheStats exposes the address-transfer cache for reporting.
 func (s *Service) ATCacheStats() *ATCache { return s.at }
-
-// DMA exposes the node-0 DMA channel (benchmarks inspect byte
-// counters; on the flat machine it is the only engine).
-func (s *Service) DMA() *hw.DMAChannel { return s.dmas[0] }
 
 // DMAs exposes all per-node DMA engines in node order.
 func (s *Service) DMAs() []*hw.DMAChannel { return s.dmas }
@@ -449,11 +441,10 @@ func (s *Service) NewClient(name string, uas, kas *mem.AddrSpace, group *CGroupA
 
 // NewClientOn registers a client homed on a NUMA node: its tasks are
 // served by that node's service threads and steered to that node's
-// DMA engine first. On the flat machine (or out-of-range node) the
-// client lands on node 0 — identical to NewClient.
+// DMA engine first. Panics if the service has no such node.
 func (s *Service) NewClientOn(name string, uas, kas *mem.AddrSpace, group *CGroupAccount, node int) *Client {
 	if node < 0 || node >= s.numNodes() {
-		node = 0
+		panic(fmt.Sprintf("core: client %q on node %d of a %d-node service", name, node, s.numNodes()))
 	}
 	if group == nil {
 		group = s.Group("default", 100)

@@ -203,8 +203,7 @@ type DMAChannel struct {
 	// reporting (stall cycles included — the engine is held either
 	// way).
 	BusyCycles int64
-	// node/numa place the engine on a NUMA topology (SetNUMA); numa
-	// nil means the flat machine and the unscaled cost model.
+	// node/numa place the engine on a NUMA topology.
 	node int
 	numa *topo.Topology
 	// track names the engine's timeline row; per-node engines get
@@ -253,44 +252,33 @@ func (d *DMAChannel) decideFault(req *DMARequest, n units.Bytes) sim.Time {
 	return sim.Time(o.Stall)
 }
 
-// NewDMAChannel creates a DMA channel on the environment (flat: no
-// NUMA placement, the historical "hw:DMA" track).
-func NewDMAChannel(env *sim.Env, pm *mem.PhysMem) *DMAChannel {
-	return &DMAChannel{env: env, pm: pm, track: "hw:DMA"}
-}
-
-// SetNUMA places the engine on NUMA node node of topology t: transfer
-// costs become distance-scaled (cycles.NUMACopyCost against the worst
-// leg the engine sees) and the engine gets its own per-node timeline
-// track. A single-node topology keeps the flat cost model and track —
-// byte-identical to an unplaced engine.
-func (d *DMAChannel) SetNUMA(node int, t *topo.Topology) {
-	if t == nil || t.Flat() {
-		d.node, d.numa, d.track = 0, nil, "hw:DMA"
-		return
-	}
+// NewDMAChannel creates a DMA engine on NUMA node node of topology t:
+// transfer costs are distance-scaled (cycles.NUMACopyCost against the
+// worst leg the engine sees), which at DistLocal is exactly the flat
+// cost. On a multi-node topology the engine gets its own timeline row
+// ("hw:DMA0", "hw:DMA1", ...); on one node (or a nil topology) the row
+// stays "hw:DMA".
+func NewDMAChannel(env *sim.Env, pm *mem.PhysMem, node int, t *topo.Topology) *DMAChannel {
 	if node < 0 || node >= t.Nodes() {
 		panic(fmt.Sprintf("hw: DMA engine on node %d of %d-node topology", node, t.Nodes()))
 	}
-	d.node = node
-	d.numa = t
-	d.track = "hw:DMA" + strconv.Itoa(node)
+	d := &DMAChannel{env: env, pm: pm, node: node, numa: t, track: "hw:DMA"}
+	if t.Nodes() > 1 {
+		d.track += strconv.Itoa(node)
+	}
+	return d
 }
 
-// Node returns the engine's NUMA node (0 when flat).
+// Node returns the engine's NUMA node.
 func (d *DMAChannel) Node() int { return d.node }
 
 // Track returns the engine's timeline row name.
 func (d *DMAChannel) Track() string { return d.track }
 
 // xferDur is the engine occupancy of one descriptor: the flat DMA
-// cost, scaled by the NUMA distance the transfer spans plus the fixed
-// remote-hop latency when the engine is placed on a multi-node
-// topology.
+// cost, scaled by the NUMA distance the transfer spans, plus the fixed
+// remote-hop latency (zero at DistLocal).
 func (d *DMAChannel) xferDur(dst, src FrameRange) sim.Time {
-	if d.numa == nil {
-		return cycles.CopyCost(cycles.UnitDMA, src.Len)
-	}
 	dist := d.numa.PairDist(d.node, d.pm.NodeOf(src.Frame), d.pm.NodeOf(dst.Frame))
 	return cycles.NUMACopyCost(cycles.UnitDMA, src.Len, dist) + cycles.NUMAXferLatency(dist)
 }

@@ -106,7 +106,7 @@ func TestCopyScatterChunkingProperty(t *testing.T) {
 // it is enqueued on an idle channel: no byte moves before then.
 func TestDMABackgroundCompletion(t *testing.T) {
 	env, pm := setup()
-	d := NewDMAChannel(env, pm)
+	d := NewDMAChannel(env, pm, 0, nil)
 	sf, _ := pm.AllocFrame()
 	df, _ := pm.AllocFrame()
 	fill(pm, sf, 0, []byte("dma-payload"))
@@ -139,7 +139,7 @@ func TestDMABackgroundCompletion(t *testing.T) {
 // enqueued while the first is in flight starts only when it ends.
 func TestDMAQueueSerializes(t *testing.T) {
 	env, pm := setup()
-	d := NewDMAChannel(env, pm)
+	d := NewDMAChannel(env, pm, 0, nil)
 	fs, _ := pm.AllocFrames(4)
 	n := units.Bytes(8192)
 	cost := cycles.CopyCost(cycles.UnitDMA, n)
@@ -167,7 +167,7 @@ func TestDMAQueueSerializes(t *testing.T) {
 
 func TestDMAMismatchedLengthsPanic(t *testing.T) {
 	env, pm := setup()
-	d := NewDMAChannel(env, pm)
+	d := NewDMAChannel(env, pm, 0, nil)
 	fs, _ := pm.AllocFrames(2)
 	defer func() {
 		if recover() == nil {

@@ -37,8 +37,7 @@ func TestDMAXferCostDistanceScaling(t *testing.T) {
 	_, pm, tp, frames := numaRig(t)
 	env := sim.NewEnv()
 	n := units.Bytes(4 << 10)
-	d := NewDMAChannel(env, pm)
-	d.SetNUMA(0, tp)
+	d := NewDMAChannel(env, pm, 0, tp)
 
 	rng := func(node int) FrameRange { return FrameRange{Frame: frames[node], Len: n} }
 	local := d.XferCost(rng(0), rng(0))
@@ -60,8 +59,9 @@ func TestDMAXferCostDistanceScaling(t *testing.T) {
 	}
 }
 
-// A single-node (or unplaced) engine must price transfers exactly like
-// the flat model — the flat machine is the special case, not a fork.
+// An engine on a single-node topology must price transfers exactly
+// like one on a nil topology, at the flat model's rate — the flat
+// machine is the special case, not a fork.
 func TestDMAFlatPlacementMatchesUnplaced(t *testing.T) {
 	env := sim.NewEnv()
 	pm := mem.NewPhysMem(1 << 20)
@@ -76,11 +76,13 @@ func TestDMAFlatPlacementMatchesUnplaced(t *testing.T) {
 	for _, n := range []units.Bytes{1, 4 << 10, 64 << 10} {
 		dst := FrameRange{Frame: f, Len: n}
 		src := FrameRange{Frame: g, Len: n}
-		plain := NewDMAChannel(env, pm)
-		placed := NewDMAChannel(env, pm)
-		placed.SetNUMA(0, topo.SingleNode(4, 1<<20))
+		plain := NewDMAChannel(env, pm, 0, nil)
+		placed := NewDMAChannel(env, pm, 0, topo.SingleNode(4, 1<<20))
 		if placed.XferCost(dst, src) != plain.XferCost(dst, src) {
 			t.Errorf("%d bytes: placed %d != plain %d", n, placed.XferCost(dst, src), plain.XferCost(dst, src))
+		}
+		if flat := cycles.CopyCost(cycles.UnitDMA, n); plain.XferCost(dst, src) != flat {
+			t.Errorf("%d bytes: nil topology %d != flat %d", n, plain.XferCost(dst, src), flat)
 		}
 		if placed.Track() != "hw:DMA" || plain.Track() != "hw:DMA" {
 			t.Errorf("flat tracks diverge: %q vs %q", placed.Track(), plain.Track())
@@ -91,10 +93,8 @@ func TestDMAFlatPlacementMatchesUnplaced(t *testing.T) {
 func TestDMAPerNodeTracksAndBusyCycles(t *testing.T) {
 	env, pm, tp, frames := numaRig(t)
 	n := units.Bytes(8 << 10)
-	d0 := NewDMAChannel(env, pm)
-	d0.SetNUMA(0, tp)
-	d3 := NewDMAChannel(env, pm)
-	d3.SetNUMA(3, tp)
+	d0 := NewDMAChannel(env, pm, 0, tp)
+	d3 := NewDMAChannel(env, pm, 3, tp)
 	if d0.Track() == d3.Track() {
 		t.Fatalf("per-node engines share track %q", d0.Track())
 	}

@@ -62,14 +62,14 @@ type Machine struct {
 	// net is the machine's loopback network, created lazily.
 	net *Network
 
-	// topo is the machine's NUMA topology (nil: flat).
+	// topo is the machine's NUMA topology (nil: one node).
 	topo *topo.Topology
 }
 
-// Config sizes a machine. Topo, when set, derives Cores and MemBytes
-// from the topology (explicit values win if both are given), pins
-// each core to its node, and partitions physical memory into per-node
-// frame ranges.
+// Config sizes a machine. Topo partitions physical memory into
+// per-node frame ranges and pins each core to its node; when set, it
+// also derives Cores and MemBytes (explicit values win if both are
+// given). A nil Topo is the single-node topology: the flat machine.
 type Config struct {
 	Cores    int
 	MemBytes int64
@@ -110,10 +110,8 @@ func NewMachine(cfg Config) *Machine {
 		EnergyPerIdleCycle: 0.05,
 		topo:               cfg.Topo,
 	}
-	if cfg.Topo != nil && cfg.Topo.Nodes() > 1 {
-		if err := m.Phys.ConfigureNodes(cfg.Topo.Nodes()); err != nil {
-			panic(err)
-		}
+	if err := m.Phys.ConfigureNodes(cfg.Topo.Nodes()); err != nil {
+		panic(err)
 	}
 	m.KernelAS = mem.NewAddrSpace(m.Phys)
 	for i := 0; i < cfg.Cores; i++ {
@@ -126,7 +124,8 @@ func NewMachine(cfg Config) *Machine {
 	return m
 }
 
-// Topo returns the machine's topology (nil on a flat machine).
+// Topo returns the machine's topology as configured: nil when
+// Config.Topo was unset, which every layer reads as one node.
 func (m *Machine) Topo() *topo.Topology { return m.topo }
 
 // Core is one CPU core.
@@ -335,18 +334,12 @@ func (m *Machine) NewProcess(name string) *Process {
 // to that node's service shard. Panics if the node is out of range
 // for the machine's topology.
 func (m *Machine) NewProcessOn(name string, node int) *Process {
-	nn := 1
-	if m.topo != nil {
-		nn = m.topo.Nodes()
-	}
-	if node < 0 || node >= nn {
+	if node < 0 || node >= m.topo.Nodes() {
 		panic("kernel: NewProcessOn node out of range")
 	}
 	p := m.NewProcess(name)
 	p.Node = node
-	if nn > 1 {
-		p.AS.SetHomeNode(node)
-	}
+	p.AS.SetHomeNode(node)
 	return p
 }
 

@@ -28,9 +28,9 @@ type copierState struct {
 // nthreads service threads on dedicated cores starting at core
 // firstCore (§6: "Copier uses one dedicated core to copy").
 func (m *Machine) InstallCopier(cfg core.Config, nthreads, firstCore int) *core.Service {
-	if cfg.Topo == nil && m.topo != nil && !m.topo.Flat() {
-		// A NUMA machine shards its service to match unless the caller
-		// overrides the topology explicitly.
+	if cfg.Topo == nil {
+		// The service shards to match the machine unless the caller
+		// sets a topology explicitly.
 		cfg.Topo = m.topo
 	}
 	svc := core.NewService(m.Env, m.Phys, cfg)

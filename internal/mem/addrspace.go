@@ -135,7 +135,7 @@ func (as *AddrSpace) HomeNode() int { return as.home }
 
 // allocFrame allocates one frame honoring the home-node preference.
 func (as *AddrSpace) allocFrame() (Frame, error) {
-	if as.home >= 0 && as.pm.NumNodes() > 1 {
+	if as.home >= 0 {
 		return as.pm.AllocFrameOn(as.home)
 	}
 	return as.pm.AllocFrame()

@@ -40,26 +40,8 @@ func TestPhysContiguousPolicy(t *testing.T) {
 	}
 	for i := 1; i < len(fs); i++ {
 		if !Contiguous(fs[i-1], fs[i]) {
-			t.Fatalf("contiguous policy produced gap: %v", fs)
+			t.Fatalf("allocation produced gap: %v", fs)
 		}
-	}
-}
-
-func TestPhysFragmentedPolicy(t *testing.T) {
-	pm := newPM()
-	pm.SetPolicy(AllocFragmented)
-	fs, err := pm.AllocFrames(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	adjacent := 0
-	for i := 1; i < len(fs); i++ {
-		if Contiguous(fs[i-1], fs[i]) {
-			adjacent++
-		}
-	}
-	if adjacent > 1 {
-		t.Fatalf("fragmented policy produced %d adjacent pairs: %v", adjacent, fs)
 	}
 }
 
@@ -317,7 +299,8 @@ func TestContigRun(t *testing.T) {
 	if _, err := as.Populate(va, 8*PageSize, true); err != nil {
 		t.Fatal(err)
 	}
-	// Contiguous policy: the whole run should be contiguous.
+	// Fresh memory hands out its lowest free frames: the whole run is
+	// contiguous.
 	if run := as.ContigRun(va, 8*PageSize); run != 8*PageSize {
 		t.Fatalf("run = %d, want full", run)
 	}
@@ -333,19 +316,6 @@ func TestContigRun(t *testing.T) {
 	pm.DecRef(nf)
 	if run := as.ContigRun(va, 8*PageSize); run != 4*PageSize {
 		t.Fatalf("run after remap = %d, want %d", run, 4*PageSize)
-	}
-}
-
-func TestContigRunFragmented(t *testing.T) {
-	pm := newPM()
-	pm.SetPolicy(AllocFragmented)
-	as := NewAddrSpace(pm)
-	va := as.MMap(4*PageSize, PermRead|PermWrite, "frag")
-	if _, err := as.Populate(va, 4*PageSize, true); err != nil {
-		t.Fatal(err)
-	}
-	if run := as.ContigRun(va, 4*PageSize); run != PageSize {
-		t.Fatalf("fragmented run = %d, want one page", run)
 	}
 }
 

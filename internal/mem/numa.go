@@ -1,8 +1,9 @@
 // Per-node frame allocation: on a NUMA machine each node owns a
 // contiguous range of physical frames, and allocations carry a
-// preferred node. A PhysMem that was never ConfigureNodes'd behaves
-// exactly as before — one node owning everything — so the flat model
-// is the single-node special case, not a separate code path.
+// preferred node. A PhysMem starts as one node owning every frame, and
+// every request, with a preference or without, goes through the same
+// allocInRange, so the flat machine is the one-node case of this
+// allocator, not a separate code path.
 
 package mem
 
@@ -26,26 +27,18 @@ func (pm *PhysMem) ConfigureNodes(n int) error {
 	if pm.nfree != pm.nframes {
 		return fmt.Errorf("mem: ConfigureNodes(%d): %d frames already allocated", n, pm.nframes-pm.nfree)
 	}
-	pm.nnodes = n
+	pm.nnodes, pm.perNode = n, pm.nframes/n
 	return nil
 }
 
-// NumNodes returns the number of NUMA nodes (1 for an unconfigured,
-// flat PhysMem).
-func (pm *PhysMem) NumNodes() int {
-	if pm.nnodes <= 0 {
-		return 1
-	}
-	return pm.nnodes
-}
+// NumNodes returns the number of NUMA nodes (1 until ConfigureNodes).
+func (pm *PhysMem) NumNodes() int { return pm.nnodes }
 
 // nodeBounds returns node's frame range [lo, hi).
 func (pm *PhysMem) nodeBounds(node int) (lo, hi int) {
-	nn := pm.NumNodes()
-	per := pm.nframes / nn
-	lo = node * per
-	hi = lo + per
-	if node == nn-1 {
+	lo = node * pm.perNode
+	hi = lo + pm.perNode
+	if node == pm.nnodes-1 {
 		hi = pm.nframes
 	}
 	return lo, hi
@@ -54,16 +47,8 @@ func (pm *PhysMem) nodeBounds(node int) (lo, hi int) {
 // NodeOf returns the NUMA node owning frame f.
 func (pm *PhysMem) NodeOf(f Frame) int {
 	pm.checkFrame(f)
-	nn := pm.NumNodes()
-	if nn == 1 {
-		return 0
-	}
-	per := pm.nframes / nn
-	n := int(f) / per
-	if n >= nn {
-		n = nn - 1 // remainder tail belongs to the last node
-	}
-	return n
+	// The remainder tail belongs to the last node.
+	return min(int(f)/pm.perNode, pm.nnodes-1)
 }
 
 // FreeFramesOn returns the number of free frames on one node.
@@ -90,89 +75,21 @@ func (pm *PhysMem) AllocFrameOn(preferred int) (Frame, error) {
 // AllocFramesOn allocates n frames with a node preference: the
 // preferred node first, then the remaining nodes in deterministic
 // (preferred+k) mod nnodes order — the simulated analogue of Linux's
-// local-then-fallback zonelist. Within a node the current AllocPolicy
+// local-then-fallback zonelist. Within a node allocInRange's rule
 // applies. A request can be satisfied across nodes when the preferred
 // node runs dry (callers see where pages landed via NodeOf).
 func (pm *PhysMem) AllocFramesOn(preferred int, npages units.Pages) ([]Frame, error) {
-	nn := pm.NumNodes()
-	if preferred < 0 || preferred >= nn {
-		return nil, fmt.Errorf("mem: AllocFramesOn: node %d outside [0,%d)", preferred, nn)
-	}
-	if nn == 1 {
-		return pm.AllocFrames(npages)
+	if preferred < 0 || preferred >= pm.nnodes {
+		return nil, fmt.Errorf("mem: AllocFramesOn: node %d outside [0,%d)", preferred, pm.nnodes)
 	}
 	n := int(npages)
 	if n > pm.nfree {
 		return nil, ErrNoMemory
 	}
 	out := make([]Frame, 0, n)
-	for k := 0; k < nn && len(out) < n; k++ {
-		node := (preferred + k) % nn
-		lo, hi := pm.nodeBounds(node)
-		pm.allocInRange(lo, hi, n-len(out), &out)
-	}
-	if len(out) != n {
-		// Rollback (unreachable given the nfree check).
-		for _, f := range out {
-			pm.DecRef(f)
-		}
-		return nil, ErrNoMemory
+	for k := 0; k < pm.nnodes && len(out) < n; k++ {
+		lo, hi := pm.nodeBounds((preferred + k) % pm.nnodes)
+		out = pm.allocInRange(lo, hi, out, n)
 	}
 	return out, nil
-}
-
-// allocInRange allocates up to want frames from [lo, hi) under the
-// current policy, appending to out.
-func (pm *PhysMem) allocInRange(lo, hi, want int, out *[]Frame) {
-	got := 0
-	switch pm.policy {
-	case AllocContiguous:
-		// First-fit contiguous run inside the node, then linear.
-		if run := pm.findRunIn(lo, hi, want); run >= 0 {
-			for i := 0; i < want; i++ {
-				*out = append(*out, pm.take(Frame(run+i)))
-			}
-			return
-		}
-		for f := lo; f < hi && got < want; f++ {
-			if pm.free[f] {
-				*out = append(*out, pm.take(Frame(f)))
-				got++
-			}
-		}
-	case AllocFragmented:
-		// Stride-2 striping inside the node, then linear fallback —
-		// the same worst-case fragmentation as the flat allocator.
-		for f := lo; f < hi && got < want; f += 2 {
-			if pm.free[f] {
-				*out = append(*out, pm.take(Frame(f)))
-				got++
-			}
-		}
-		for f := lo + 1; f < hi && got < want; f += 2 {
-			if pm.free[f] {
-				*out = append(*out, pm.take(Frame(f)))
-				got++
-			}
-		}
-	}
-}
-
-// findRunIn is findRun restricted to the frame range [lo, hi).
-func (pm *PhysMem) findRunIn(lo, hi, n int) int {
-	runStart, runLen := -1, 0
-	for f := lo; f < hi; f++ {
-		if pm.free[f] {
-			if runLen == 0 {
-				runStart = f
-			}
-			runLen++
-			if runLen == n {
-				return runStart
-			}
-		} else {
-			runLen = 0
-		}
-	}
-	return -1
 }

@@ -113,7 +113,6 @@ func TestAllocFramesOnContiguousWithinNode(t *testing.T) {
 	if err := pm.ConfigureNodes(4); err != nil {
 		t.Fatal(err)
 	}
-	pm.SetPolicy(AllocContiguous)
 	fs, err := pm.AllocFramesOn(3, 8)
 	if err != nil {
 		t.Fatal(err)

@@ -34,22 +34,6 @@ type Frame int32
 // NoFrame marks an unmapped PTE.
 const NoFrame Frame = -1
 
-// Allocation policies for the frame allocator. The DMA engine requires
-// physically contiguous source/destination runs (§4.3); the policy
-// controls how fragmented allocations are, which determines subtask
-// splitting.
-type AllocPolicy int
-
-const (
-	// AllocContiguous serves each request from the longest free run
-	// (buddy-like): large buffers come out physically contiguous.
-	AllocContiguous AllocPolicy = iota
-	// AllocFragmented deliberately stripes allocations across free
-	// runs so almost no two virtually-adjacent pages are physically
-	// adjacent — the worst case of Fig. 7-b.
-	AllocFragmented
-)
-
 // ErrNoMemory is returned when the physical allocator is exhausted.
 var ErrNoMemory = errors.New("mem: out of physical frames")
 
@@ -65,12 +49,11 @@ type PhysMem struct {
 	refcnt  []int32  // frames shared by CoW have refcnt > 1
 	free    []bool
 	nfree   int
-	policy  AllocPolicy
-	// scan position for AllocFragmented striping
-	stripePos int
-	// nnodes > 1 after ConfigureNodes partitions the frame space
-	// into per-NUMA-node ranges (numa.go); 0 means flat.
-	nnodes int
+	// nnodes is the number of NUMA nodes, each owning perNode frames
+	// (the last node also owns the remainder): one until
+	// ConfigureNodes partitions the frame space (numa.go).
+	nnodes  int
+	perNode int
 }
 
 // NewPhysMem creates a physical memory of size bytes (rounded down to
@@ -86,15 +69,14 @@ func NewPhysMem(size int64) *PhysMem {
 		refcnt:  make([]int32, n),
 		free:    make([]bool, n),
 		nfree:   n,
+		nnodes:  1,
+		perNode: n,
 	}
 	for i := range pm.free {
 		pm.free[i] = true
 	}
 	return pm
 }
-
-// SetPolicy selects the allocation policy for subsequent allocations.
-func (pm *PhysMem) SetPolicy(p AllocPolicy) { pm.policy = p }
 
 // NumFrames returns the total number of physical frames.
 func (pm *PhysMem) NumFrames() int { return pm.nframes }
@@ -113,86 +95,41 @@ func (pm *PhysMem) AllocFrame() (Frame, error) {
 	return fs[0], nil
 }
 
-// AllocFrames allocates n frames according to the current policy.
+// AllocFrames allocates n frames with no node preference: the whole
+// frame space is one range (allocInRange).
 func (pm *PhysMem) AllocFrames(npages units.Pages) ([]Frame, error) {
 	n := int(npages)
 	if n > pm.nfree {
 		return nil, ErrNoMemory
 	}
-	out := make([]Frame, 0, n)
-	switch pm.policy {
-	case AllocContiguous:
-		// First-fit contiguous run; fall back to whatever is free.
-		run := pm.findRun(n)
-		if run >= 0 {
-			for i := 0; i < n; i++ {
-				out = append(out, pm.take(Frame(run+i)))
-			}
-			return out, nil
-		}
-		for f := 0; f < pm.nframes && len(out) < n; f++ {
-			if pm.free[f] {
-				out = append(out, pm.take(Frame(f)))
-			}
-		}
-	case AllocFragmented:
-		// Stripe with a stride of 2 so virtually-adjacent pages land
-		// on non-adjacent frames.
-		for len(out) < n {
-			f := pm.nextStriped()
-			if f < 0 {
-				// Allocator wrapped without finding frames at the
-				// stride; fall back to linear scan.
-				for g := 0; g < pm.nframes && len(out) < n; g++ {
-					if pm.free[g] {
-						out = append(out, pm.take(Frame(g)))
-					}
-				}
-				break
-			}
-			out = append(out, pm.take(f))
-		}
-	}
-	if len(out) != n {
-		// Roll back (should be unreachable given the nfree check).
-		for _, f := range out {
-			pm.DecRef(f)
-		}
-		return nil, ErrNoMemory
-	}
-	return out, nil
+	return pm.allocInRange(0, pm.nframes, make([]Frame, 0, n), n), nil
 }
 
-func (pm *PhysMem) findRun(n int) int {
-	runStart, runLen := -1, 0
-	for f := 0; f < pm.nframes; f++ {
-		if pm.free[f] {
-			if runLen == 0 {
-				runStart = f
+// allocInRange appends frames from [lo, hi) to out until it holds n:
+// the first free run as long as the rest of the request when the range
+// has one, else the lowest free frames. The DMA engine needs
+// physically contiguous runs (§4.3), so this rule decides how copies
+// of the allocated buffers split into descriptors.
+func (pm *PhysMem) allocInRange(lo, hi int, out []Frame, n int) []Frame {
+	want, run := n-len(out), 0
+	for f := lo; f < hi; f++ {
+		if !pm.free[f] {
+			run = 0
+			continue
+		}
+		if run++; run == want {
+			for g := f - want + 1; g <= f; g++ {
+				out = append(out, pm.take(Frame(g)))
 			}
-			runLen++
-			if runLen == n {
-				return runStart
-			}
-		} else {
-			runLen = 0
+			return out
 		}
 	}
-	return -1
-}
-
-func (pm *PhysMem) nextStriped() Frame {
-	for tries := 0; tries < pm.nframes; tries++ {
-		f := pm.stripePos
-		pm.stripePos = (pm.stripePos + 2) % pm.nframes
-		if pm.stripePos == 0 {
-			pm.stripePos = 1 // shift phase after wrap
-		}
+	for f := lo; f < hi && len(out) < n; f++ {
 		if pm.free[f] {
-			return Frame(f)
+			out = append(out, pm.take(Frame(f)))
 		}
 	}
-	return -1
+	return out
 }
 
 func (pm *PhysMem) take(f Frame) Frame {

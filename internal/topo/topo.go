@@ -3,8 +3,10 @@
 // them, and the SLIT-style distance matrix between nodes. "One socket"
 // versus "4-node NUMA" is configuration, not code: every layer that
 // cares (frame allocator, DMA engines, copier service, kernel
-// placement) takes a *Topology and treats a nil or single-node value
-// as the flat machine the original model described.
+// placement) takes a *Topology, and the flat machine the original
+// model described is the single-node topology. A nil *Topology is
+// that machine too: Nodes answers 1 and PairDist DistLocal, so no
+// caller tests for nil or for one node.
 //
 // Distances follow the ACPI SLIT convention used by the cost model in
 // internal/cycles: a node is at distance cycles.DistLocal (10) from
@@ -28,8 +30,9 @@ type Topology struct {
 }
 
 // SingleNode describes the flat machine: one node owning all cores
-// and memory. Every layer must behave identically under this topology
-// and under a nil *Topology.
+// and memory. Its distances are all DistLocal, where the cost model
+// charges exactly the flat rate, so it prices every copy as a nil
+// *Topology does.
 func SingleNode(cores int, memBytes int64) *Topology {
 	t, err := FromDistances([][]int{{cycles.DistLocal}}, cores, memBytes)
 	if err != nil {
@@ -115,13 +118,13 @@ func (t *Topology) Validate() error {
 	return nil
 }
 
-// Nodes returns the number of NUMA nodes.
-func (t *Topology) Nodes() int { return len(t.dist) }
-
-// Flat reports whether the topology is a single node — the
-// configuration under which every layer must match the flat model
-// exactly.
-func (t *Topology) Flat() bool { return len(t.dist) == 1 }
+// Nodes returns the number of NUMA nodes (1 for a nil topology).
+func (t *Topology) Nodes() int {
+	if t == nil {
+		return 1
+	}
+	return len(t.dist)
+}
 
 // CoresPerNode returns the number of cores local to each node.
 func (t *Topology) CoresPerNode() int { return t.coresPerNode }
@@ -148,8 +151,12 @@ func (t *Topology) NodeOfCore(c int) int {
 
 // PairDist returns the distance an engine on engineNode experiences
 // for a transfer reading srcNode and writing dstNode: the worst of
-// its two legs, since the slower link bounds the transfer.
+// its two legs, since the slower link bounds the transfer. A nil
+// topology is one node, so every pair is DistLocal.
 func (t *Topology) PairDist(engineNode, srcNode, dstNode int) int {
+	if t == nil {
+		return cycles.DistLocal
+	}
 	d := t.dist[engineNode][srcNode]
 	if dd := t.dist[engineNode][dstNode]; dd > d {
 		d = dd

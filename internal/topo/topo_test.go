@@ -8,7 +8,7 @@ import (
 
 func TestSingleNode(t *testing.T) {
 	tp := SingleNode(4, 256<<20)
-	if !tp.Flat() || tp.Nodes() != 1 {
+	if tp.Nodes() != 1 {
 		t.Fatalf("SingleNode not flat: nodes=%d", tp.Nodes())
 	}
 	if tp.TotalCores() != 4 || tp.TotalMem() != 256<<20 {
@@ -16,6 +16,21 @@ func TestSingleNode(t *testing.T) {
 	}
 	if d := tp.Dist(0, 0); d != cycles.DistLocal {
 		t.Fatalf("self distance = %d, want %d", d, cycles.DistLocal)
+	}
+}
+
+// A nil topology is the one-node machine: the layers above ask it for
+// a node count and a pair distance without testing for nil.
+func TestNilIsOneLocalNode(t *testing.T) {
+	var tp *Topology
+	if n := tp.Nodes(); n != 1 {
+		t.Errorf("nil Nodes() = %d, want 1", n)
+	}
+	if d := tp.PairDist(0, 0, 0); d != cycles.DistLocal {
+		t.Errorf("nil PairDist = %d, want %d", d, cycles.DistLocal)
+	}
+	if d := SingleNode(4, 256<<20).PairDist(0, 0, 0); d != cycles.DistLocal {
+		t.Errorf("SingleNode PairDist = %d, want %d", d, cycles.DistLocal)
 	}
 }
 
