@@ -269,9 +269,6 @@ func NewDMAChannel(env *sim.Env, pm *mem.PhysMem, node int, t *topo.Topology) *D
 	return d
 }
 
-// Node returns the engine's NUMA node.
-func (d *DMAChannel) Node() int { return d.node }
-
 // Track returns the engine's timeline row name.
 func (d *DMAChannel) Track() string { return d.track }
 
