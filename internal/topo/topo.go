@@ -6,7 +6,7 @@
 // placement) takes a *Topology, and the flat machine the original
 // model described is the single-node topology. A nil *Topology is
 // that machine too: Nodes answers 1 and PairDist DistLocal, so no
-// caller tests for nil or for one node.
+// caller needs a separate path for nil or for one node.
 //
 // Distances follow the ACPI SLIT convention used by the cost model in
 // internal/cycles: a node is at distance cycles.DistLocal (10) from
