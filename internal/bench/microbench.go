@@ -265,6 +265,31 @@ func RunMicrobenches() MicroReport {
 	}))
 	runtime.KeepAlive(pm)
 
+	// Memory: fleet-numa's set-up working set, 12,288 pages over 4
+	// nodes (96 address spaces homed round-robin, 128 pages each),
+	// demand-faulted one page at a time into a fresh machine (mirrors
+	// mem.BenchmarkPopulate/12k-4node).
+	results = append(results, micro("mem/populate-12k-4node", 0, func(b *testing.B) {
+		const nodes, spaces, size = 4, 96, 128 * mem.PageSize
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			pm := mem.NewPhysMem(256 << 20)
+			if err := pm.ConfigureNodes(nodes); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+			for s := 0; s < spaces; s++ {
+				as := mem.NewAddrSpace(pm)
+				as.SetHomeNode(s % nodes)
+				va := as.MMap(size, mem.PermRead|mem.PermWrite, "buf")
+				if _, err := as.Populate(va, size, true); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}))
+
 	// Service ring: batched drain — 16 publishes, one PopN, one tail
 	// update (mirrors core.BenchmarkRingPopN; one op = one 16-task
 	// round).

@@ -192,10 +192,18 @@ func (as *AddrSpace) insertVMA(v *VMA) {
 }
 
 // MUnmap removes the VMA starting at start, dropping frame references
-// and notifying mapping-change listeners.
+// and notifying mapping-change listeners. Like ReleaseAll, it refuses
+// (and releases nothing) while any of the VMA's pages is pinned: the
+// freed frame would go to the next allocation while the pin holder
+// still copies into it.
 func (as *AddrSpace) MUnmap(start VA) error {
 	for i, v := range as.vmas {
 		if v.Start == start {
+			for vpn := v.Start.Page(); vpn < v.End.Page(); vpn++ {
+				if pte, ok := as.pages[vpn]; ok && pte.Pinned > 0 {
+					return fmt.Errorf("mem: munmap of pinned page %#x", vpn<<PageShift)
+				}
+			}
 			for vpn := v.Start.Page(); vpn < v.End.Page(); vpn++ {
 				if pte, ok := as.pages[vpn]; ok && pte.Present {
 					as.pm.DecRef(pte.Frame)

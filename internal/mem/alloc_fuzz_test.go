@@ -2,6 +2,7 @@ package mem
 
 import (
 	"errors"
+	"fmt"
 	"math/rand/v2"
 	"slices"
 	"testing"
@@ -72,12 +73,32 @@ func countFree(free []bool) int {
 	return n
 }
 
+// checkMarks checks each node's low-water mark: it lies within the
+// node, and every frame of the node below it is allocated.
+func checkMarks(pm *PhysMem) error {
+	for node := 0; node < pm.NumNodes(); node++ {
+		lo, hi := pm.nodeBounds(node)
+		mark := pm.low[node]
+		if mark < lo || mark > hi {
+			return fmt.Errorf("node %d: mark %d outside [%d,%d]", node, mark, lo, hi)
+		}
+		for f := lo; f < mark; f++ {
+			if pm.free[f] {
+				return fmt.Errorf("node %d: frame %d below mark %d is free", node, f, mark)
+			}
+		}
+	}
+	return nil
+}
+
 // FuzzAllocMatchesReference runs a seeded sequence of AllocFrames,
 // AllocFramesOn and DecRef on a 1-node and a 4-node PhysMem of the
 // same size and compares every returned frame list with refAlloc.
 // Frees punch holes of random length, so later requests exercise both
 // the run search and the lowest-free fallback, and node ranges fill
-// up, so preferred requests spill to the next nodes.
+// up, so preferred requests spill to the next nodes. After every step
+// each node's low-water mark must still have only allocated frames
+// below it (checkMarks).
 func FuzzAllocMatchesReference(f *testing.F) {
 	f.Add(uint64(1), uint8(60))  // 64 frames: 16 per node
 	f.Add(uint64(2), uint8(63))  // 67 frames: the last node owns 19
@@ -142,6 +163,9 @@ func FuzzAllocMatchesReference(f *testing.F) {
 				}
 				if pm.FreeFrames() != countFree(free) {
 					t.Fatalf("nodes=%d step %d: FreeFrames = %d, reference %d", nodes, step, pm.FreeFrames(), countFree(free))
+				}
+				if err := checkMarks(pm); err != nil {
+					t.Fatalf("nodes=%d step %d: %v", nodes, step, err)
 				}
 			}
 		}

@@ -7,6 +7,8 @@ import (
 	"runtime"
 	"testing"
 	"testing/quick"
+
+	"copier/internal/units"
 )
 
 func newPM() *PhysMem { return NewPhysMem(4 << 20) } // 1024 frames
@@ -488,6 +490,46 @@ func TestMUnmapUnknown(t *testing.T) {
 	}
 }
 
+// TestMUnmapRefusesPinnedPage unmaps a VMA with one pinned page: the
+// call must fail and release nothing, so the pinned frame is not the
+// next one handed out and the pin holder can still Unpin.
+func TestMUnmapRefusesPinnedPage(t *testing.T) {
+	pm := newPM()
+	as := NewAddrSpace(pm)
+	va := as.MMap(2*PageSize, PermRead|PermWrite, "buf")
+	if _, err := as.Populate(va, 2*PageSize, true); err != nil {
+		t.Fatal(err)
+	}
+	pinned, _, err := as.Translate(va + PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := as.Pin(va+PageSize, PageSize); err != nil {
+		t.Fatal(err)
+	}
+	free := pm.FreeFrames()
+	if err := as.MUnmap(va); err == nil {
+		t.Fatal("munmap of a VMA with a pinned page succeeded")
+	}
+	if pm.FreeFrames() != free || pm.RefCount(pinned) != 1 {
+		t.Fatalf("refused munmap released frames: free %d -> %d, pinned frame refcount %d",
+			free, pm.FreeFrames(), pm.RefCount(pinned))
+	}
+	if f, err := pm.AllocFrame(); err != nil || f == pinned {
+		t.Fatalf("AllocFrame after refused munmap = %d, %v; pinned frame is %d", f, err, pinned)
+	}
+	if f, _, err := as.Translate(va); err != nil || as.FindVMA(va) == nil {
+		t.Fatalf("refused munmap dropped the mapping: frame %d, %v", f, err)
+	}
+	as.Unpin(va+PageSize, PageSize)
+	if err := as.MUnmap(va); err != nil {
+		t.Fatalf("munmap after unpin: %v", err)
+	}
+	if pm.RefCount(pinned) != 0 {
+		t.Fatalf("munmap after unpin left frame %d with refcount %d", pinned, pm.RefCount(pinned))
+	}
+}
+
 var sinkPM *PhysMem
 
 // BenchmarkNewPhysMem builds a default-size (256 MB) machine's
@@ -496,5 +538,44 @@ func BenchmarkNewPhysMem(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		sinkPM = NewPhysMem(256 << 20)
+	}
+}
+
+// BenchmarkPopulate demand-faults a working set into a fresh 256 MB
+// PhysMem, one page at a time, as an eager mmap does. On 4 nodes it is
+// fleet-numa's set-up: 96 address spaces homed round-robin, 128 pages
+// each (mirrored by RunMicrobenches' mem/populate-12k-4node). ns/page
+// stays flat as the working set grows when each fault costs O(1).
+func BenchmarkPopulate(b *testing.B) {
+	for _, bc := range []struct {
+		name                  string
+		nodes, spaces, npages int
+	}{
+		{"4k", 1, 1, 4 << 10},
+		{"32k", 1, 1, 32 << 10},
+		{"12k-4node", 4, 96, 128},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			size := units.Pages(bc.npages).Bytes()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				pm := NewPhysMem(256 << 20)
+				if err := pm.ConfigureNodes(bc.nodes); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				for s := 0; s < bc.spaces; s++ {
+					as := NewAddrSpace(pm)
+					as.SetHomeNode(s % bc.nodes)
+					va := as.MMap(size, PermRead|PermWrite, "buf")
+					if _, err := as.Populate(va, size, true); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			pages := b.N * bc.spaces * bc.npages
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(pages), "ns/page")
+		})
 	}
 }

@@ -28,6 +28,10 @@ func (pm *PhysMem) ConfigureNodes(n int) error {
 		return fmt.Errorf("mem: ConfigureNodes(%d): %d frames already allocated", n, pm.nframes-pm.nfree)
 	}
 	pm.nnodes, pm.perNode = n, pm.nframes/n
+	pm.low = make([]int, n)
+	for node := range pm.low {
+		pm.low[node], _ = pm.nodeBounds(node)
+	}
 	return nil
 }
 

@@ -181,3 +181,63 @@ func TestForkInheritsHomeNode(t *testing.T) {
 		t.Errorf("CoW copy on node %d, want 1", pm.NodeOf(f))
 	}
 }
+
+// TestPopulateLeavesMarkOnFirstFreeFrame populates homed address
+// spaces on a fresh 4-node PhysMem; the one homed on node 1 outgrows
+// its node and spills onto node 2. Each node's low-water mark must
+// then sit on the node's first free frame (its end when it is full),
+// so the next single-frame fault examines one frame. Remapping a page
+// of node 0's run frees a frame below the mark, and the next fault
+// that takes it must move the mark past the allocated frames above.
+func TestPopulateLeavesMarkOnFirstFreeFrame(t *testing.T) {
+	pm := NewPhysMem(4 << 20) // 1024 frames, 256 per node
+	if err := pm.ConfigureNodes(4); err != nil {
+		t.Fatal(err)
+	}
+	var as0 *AddrSpace // homed on node 0
+	var buf0 VA
+	for node, pages := range []units.Pages{40, 300, 0, 7} {
+		as := NewAddrSpace(pm)
+		as.SetHomeNode(node)
+		va := as.MMap(pages.Bytes(), PermRead|PermWrite, "buf")
+		if _, err := as.Populate(va, pages.Bytes(), true); err != nil {
+			t.Fatal(err)
+		}
+		if node == 0 {
+			as0, buf0 = as, va
+		}
+	}
+	checkFirstFree := func(wants []int) {
+		t.Helper()
+		for node, want := range wants {
+			lo, hi := pm.nodeBounds(node)
+			first := hi
+			for f := hi - 1; f >= lo; f-- {
+				if pm.free[f] {
+					first = f
+				}
+			}
+			if first != want {
+				t.Fatalf("node %d: first free frame %d, want %d", node, first, want)
+			}
+			if pm.low[node] != first {
+				t.Errorf("node %d: mark %d, want its first free frame %d", node, pm.low[node], first)
+			}
+		}
+	}
+	checkFirstFree([]int{40, 512, 512 + 44, 768 + 7})
+	f, err := pm.AllocFrameOn(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := as0.ReplacePage(buf0+10*PageSize, f); err != nil {
+		t.Fatal(err)
+	}
+	pm.DecRef(f)
+	checkFirstFree([]int{10})
+	va := as0.MMap(PageSize, PermRead|PermWrite, "one")
+	if _, err := as0.Populate(va, PageSize, true); err != nil {
+		t.Fatal(err)
+	}
+	checkFirstFree([]int{41})
+}

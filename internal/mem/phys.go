@@ -54,6 +54,11 @@ type PhysMem struct {
 	// ConfigureNodes partitions the frame space (numa.go).
 	nnodes  int
 	perNode int
+	// low is each node's low-water mark: every frame from the node's
+	// first frame up to low[node] is allocated, so allocInRange starts
+	// its scans there and a run of single-frame faults costs O(1) each
+	// instead of a rescan of everything the node has handed out.
+	low []int
 }
 
 // NewPhysMem creates a physical memory of size bytes (rounded down to
@@ -71,6 +76,7 @@ func NewPhysMem(size int64) *PhysMem {
 		nfree:   n,
 		nnodes:  1,
 		perNode: n,
+		low:     []int{0},
 	}
 	for i := range pm.free {
 		pm.free[i] = true
@@ -109,8 +115,12 @@ func (pm *PhysMem) AllocFrames(npages units.Pages) ([]Frame, error) {
 // the first free run as long as the rest of the request when the range
 // has one, else the lowest free frames. The DMA engine needs
 // physically contiguous runs (§4.3), so this rule decides how copies
-// of the allocated buffers split into descriptors.
+// of the allocated buffers split into descriptors. Every range starts
+// at a node's first frame (one node's, or frame 0 for the whole
+// space), so no free frame lies below that node's low-water mark and
+// both scans start there.
 func (pm *PhysMem) allocInRange(lo, hi int, out []Frame, n int) []Frame {
+	lo = pm.low[pm.NodeOf(Frame(lo))]
 	want, run := n-len(out), 0
 	for f := lo; f < hi; f++ {
 		if !pm.free[f] {
@@ -139,6 +149,14 @@ func (pm *PhysMem) take(f Frame) Frame {
 	pm.free[f] = false
 	pm.nfree--
 	pm.refcnt[f] = 1
+	if node := pm.NodeOf(f); int(f) == pm.low[node] {
+		_, hi := pm.nodeBounds(node)
+		m := int(f) + 1
+		for m < hi && !pm.free[m] {
+			m++
+		}
+		pm.low[node] = m
+	}
 	// Zero the frame (demand-zero semantics). Going through FrameBytes
 	// also materializes its chunk, so copy paths that must not allocate
 	// never take the first touch of an allocated frame.
@@ -169,6 +187,9 @@ func (pm *PhysMem) DecRef(f Frame) {
 	if pm.refcnt[f] == 0 {
 		pm.free[f] = true
 		pm.nfree++
+		if node := pm.NodeOf(f); int(f) < pm.low[node] {
+			pm.low[node] = int(f)
+		}
 	}
 }
 

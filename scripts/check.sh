@@ -99,4 +99,15 @@ go test -run 'TestChaosInvariants' ./internal/bench
 echo "== chaosfleet smoke =="
 go test -run 'TestChaosFleetInvariants|TestGoldens/^chaosfleet$' ./internal/bench
 
+# Full-scale run: EXPERIMENTS.md's "Reproducing" -full command, every
+# experiment but fig12b (whose 16-thread proxy point never completes,
+# ROADMAP item 1), under a wall-clock limit about ten times its usual
+# run time, so a panic, a hang or a quadratic blow-up in a full-scale
+# path fails the gate. The tables go to /dev/null; the goldens pin
+# Quick-scale output only.
+echo "== full-scale run (all but fig12b) =="
+timeout 120 go run ./cmd/copierbench -full \
+	-run binder,chaos,chaosfleet,cow,cpi,fig10,fig11,fig12a,fig12c,fig13a,fig13b,fig13c,fig14,fig2a,fig2b,fig3,fig7a,fig9,fig9numa,fleet,isolation,scope,sendfile,tbl3,zlib \
+	>/dev/null
+
 echo "ALL CHECKS PASSED"
