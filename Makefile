@@ -28,11 +28,14 @@ lint:
 test:
 	go test ./...
 
-# Refresh the checked-in hot-path microbenchmark results, then run
-# the package benchmarks for the experiment tables.
+# Refresh the checked-in hot-path microbenchmark results
+# (BENCH_results.json), then run the root package's benchmarks
+# (bench_test.go: one per paper table/figure, the native acopy benches
+# and a few hot-path ones) without its tests. The internal packages'
+# own benchmarks run with `go test -run '^$' -bench=. ./internal/<pkg>`.
 bench:
 	go run ./cmd/copierbench -benchjson BENCH_results.json
-	go test -bench=. -benchmem ./internal/bench
+	go test -run '^$$' -bench=. -benchmem .
 
 # Short continuation runs over the checked-in seed corpora.
 fuzz:

@@ -350,15 +350,8 @@ func RunMicrobenches() MicroReport {
 	}))
 
 	// acopy runtime: pooled-handle submit → worker copy → Wait →
-	// Release round-trip at two sizes (mirrors
+	// Release round-trip at two sizes on one worker (mirrors
 	// acopy.BenchmarkAMemcpyWait); real bytes moved per wall second.
-	workers := runtime.GOMAXPROCS(0) - 1
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > 2 {
-		workers = 2
-	}
 	for _, size := range []int{4 << 10, 64 << 10} {
 		name := "acopy/amemcpy-4k"
 		if size == 64<<10 {
@@ -366,7 +359,7 @@ func RunMicrobenches() MicroReport {
 		}
 		size := size
 		results = append(results, micro(name, int64(size), func(b *testing.B) {
-			cp := acopy.New(workers)
+			cp := acopy.New(1)
 			defer cp.Close()
 			src := make([]byte, size)
 			dst := make([]byte, size)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"copier/internal/cycles"
-	"copier/internal/hw"
 	"copier/internal/mem"
 	"copier/internal/obs"
 	"copier/internal/sim"
@@ -100,15 +99,20 @@ type Client struct {
 	// state allocates nothing. Per-client (not per-service) because a
 	// dispatcher round yields (ctx.Exec) with these buffers live, and
 	// during a yield other service threads may be mid-round on other
-	// clients; a given client is only ever served by one thread.
+	// clients; a given client is only ever served by the one thread
+	// that holds it (Service.claim).
 	batchBuf []*Task
 	reqBuf   []execReq
 	chunkBuf []chunk
 	partsBuf []srcPart
 	dmaMark  []bool
-	pairBuf  [][2]hw.FrameRange
 	pendBuf  []sim.Time
 	engBuf   []int
+
+	// held is set while a service thread works on the client
+	// (Service.claim); passed, when another thread found it held.
+	held   bool
+	passed bool
 
 	// dying is set by Service.KillClient; the next service sweep runs
 	// the teardown protocol and then sets closed.
@@ -335,7 +339,7 @@ func (c *Client) admitUserUpTo(ctx Ctx, pos uint64) {
 }
 
 func (c *Client) admitTask(t *Task, svc *Service) {
-	if t.Kind == KindCopy && svc.rejectAdmission(c, t) {
+	if svc.rejectAdmission(c, t) {
 		return
 	}
 	t.orderIdx = c.nextOrder

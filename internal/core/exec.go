@@ -80,7 +80,7 @@ func (s *Service) resolveRange(ctx Ctx, c *Client, as *mem.AddrSpace, va mem.VA,
 	for i := len(c.pending) - 1; i >= 0; i-- {
 		p := c.pending[i]
 		ctx.Exec(cycles.DependencyCheck)
-		if p.orderIdx >= before || p.executed || p.aborted || p.Kind != KindCopy {
+		if p.orderIdx >= before || p.executed || p.aborted {
 			continue
 		}
 		if p.dstOverlap(as, va, n) {
@@ -118,8 +118,7 @@ func (s *Service) resolveRange(ctx Ctx, c *Client, as *mem.AddrSpace, va mem.VA,
 			if chunk > remaining {
 				chunk = remaining
 			}
-			marked := latest.Desc != nil && latest.Desc.Ready(cur, chunk)
-			if marked {
+			if latest.Desc.Ready(cur, chunk) {
 				// Data already landed in the intermediate buffer (and
 				// may have been modified there) — read it directly.
 				out = append(out, srcPart{as: as, va: latest.Dst + mem.VA(cur), len: chunk})
@@ -153,7 +152,7 @@ func (s *Service) resolveRange(ctx Ctx, c *Client, as *mem.AddrSpace, va mem.VA,
 // is whole-task (conservative); execution honors the window, which is
 // how Sync Tasks raise the priority of individual segments (§4.1).
 func (s *Service) executeWithDeps(ctx Ctx, c *Client, t *Task, lo, hi units.Bytes, depth int) {
-	if t.executed || t.aborted || t.pendingErr != nil || t.Kind != KindCopy {
+	if t.executed || t.aborted || t.pendingErr != nil {
 		return
 	}
 	if depth > 64 {
@@ -171,7 +170,7 @@ func (s *Service) executeWithDeps(ctx Ctx, c *Client, t *Task, lo, hi units.Byte
 func (s *Service) runDeps(ctx Ctx, c *Client, t *Task, depth int) {
 	var deps []*Task
 	for _, p := range c.pending {
-		if p.orderIdx >= t.orderIdx || p.executed || p.aborted || p.Kind != KindCopy {
+		if p.orderIdx >= t.orderIdx || p.executed || p.aborted {
 			continue
 		}
 		ctx.Exec(cycles.DependencyCheck)
@@ -273,12 +272,7 @@ func (s *Service) awaitInFlight(ctx Ctx, t *Task) {
 	if t.inflight == 0 {
 		return
 	}
-	var sig *sim.Signal
-	if t.Desc != nil {
-		sig = t.Desc.Watch()
-	} else {
-		sig = t.Client.Progress
-	}
+	sig := t.Desc.Watch()
 	for t.inflight > 0 {
 		ctx.Exec(cycles.DMACompletionCheck)
 		if t.inflight == 0 {
@@ -681,25 +675,22 @@ func (s *Service) unpinAll(ctx Ctx, pins []pinRec) {
 	}
 }
 
-// dmaBatch carries one DMA submission's chunks through the
-// asynchronous completion path. Batches are pooled on the service
-// with a pre-bound completion closure, so the steady-state dispatch
-// path reuses them instead of allocating a fresh closure (and chunk
-// slice) per doorbell.
+// dmaBatch carries one engine's share of a dispatch round from its
+// doorbell to its last completion: the chunks and the descriptors the
+// engine queued for them, side by side. The engine drains FIFO, so one
+// live event (step) walks the batch in order. Batches are pooled with
+// step bound once, so the steady-state dispatch path allocates nothing.
 type dmaBatch struct {
 	s      *Service
-	env    *sim.Env
+	eng    int
 	chunks []chunk
-	// eng is the engine the batch was submitted to, fed back to the
-	// health state machine on each completion.
-	eng  int
-	left int
-	cb   func(i int, err error)
+	reqs   []hw.DMARequest
+	// i is the next descriptor to complete.
+	i    int
+	step func()
 }
 
-// getDMABatch pops a pooled batch (or builds one, binding its
-// completion closure once). The batch recycles itself when its last
-// descriptor completes.
+// getDMABatch pops a pooled batch, or builds one with its step bound.
 func (s *Service) getDMABatch() *dmaBatch {
 	if n := len(s.dmaBatchPool); n > 0 {
 		b := s.dmaBatchPool[n-1]
@@ -708,16 +699,24 @@ func (s *Service) getDMABatch() *dmaBatch {
 		return b
 	}
 	b := &dmaBatch{s: s}
-	b.cb = func(i int, err error) {
-		b.s.dmaDone(b.env, b.eng, b.chunks[i], err)
-		b.left--
-		if b.left == 0 {
-			b.chunks = b.chunks[:0]
-			b.env = nil
-			b.s.dmaBatchPool = append(b.s.dmaBatchPool, b)
-		}
-	}
+	b.step = b.completeNext
 	return b
+}
+
+// completeNext runs at the next descriptor's CompleteAt: the engine
+// moves its bytes, dmaDone finalizes its chunk, and the walk waits for
+// the descriptor behind it, or recycles the batch after the last.
+func (b *dmaBatch) completeNext() {
+	s := b.s
+	err := s.dmas[b.eng].Complete(&b.reqs[b.i])
+	s.dmaDone(b.eng, b.chunks[b.i], err)
+	b.i++
+	if b.i < len(b.reqs) {
+		s.env.Schedule(b.reqs[b.i].CompleteAt-s.now(), b.step)
+		return
+	}
+	b.chunks, b.reqs, b.i = b.chunks[:0], b.reqs[:0], 0
+	s.dmaBatchPool = append(s.dmaBatchPool, b)
 }
 
 // dispatch runs one piggyback round: DMA candidates from the latter
@@ -832,14 +831,10 @@ func (s *Service) dispatch(ctx Ctx, c *Client, all []chunk) {
 			s.account(ch.task.Client, piece)
 			s.env.Recorder().At(obs.EvSegmentDone, int64(s.now()), ch.task.Client.Name, int64(ch.task.ID), int64(piece))
 			ch.task.issued.MarkRange(taskOff, piece)
-			if ch.task.Desc != nil {
-				ch.task.Desc.MarkRange(taskOff, piece)
-			}
+			ch.task.Desc.MarkRange(taskOff, piece)
 			ch.task.segDone += piece
 			ch.task.Client.Progress.Broadcast(ctx.Env())
-			if ch.task.Desc != nil {
-				ch.task.Desc.NotifyProgress(ctx.Env())
-			}
+			ch.task.Desc.NotifyProgress(ctx.Env())
 			off += piece
 		}
 	}
@@ -852,12 +847,12 @@ func (s *Service) dispatch(ctx Ctx, c *Client, all []chunk) {
 // the task off.
 //
 //copier:noalloc
-func (s *Service) dmaDone(env *sim.Env, eng int, ch chunk, err error) {
+func (s *Service) dmaDone(eng int, ch chunk, err error) {
 	s.epoch++
 	s.inflightDMA--
 	ch.task.inflight--
 	perm := err == hw.ErrEngineDead
-	s.noteEngineOutcome(eng, err != nil, perm, env.Now())
+	s.noteEngineOutcome(eng, err != nil, perm, s.now())
 	if err != nil {
 		s.Stats.DMAFaults++
 		s.Stats.DMABytes -= int64(ch.length)
@@ -866,18 +861,17 @@ func (s *Service) dmaDone(env *sim.Env, eng int, ch chunk, err error) {
 			// A permanent death is the health machine's problem — the
 			// engine is already out of rotation, and the global cooldown
 			// would wrongly divert work from surviving engines too.
-			s.dmaAvoidUntil = env.Now() + s.cfg.DMACooldown
+			s.dmaAvoidUntil = s.now() + s.cfg.DMACooldown
 		}
 		s.noteFailure(ch.task, err)
 	} else {
 		s.account(ch.task.Client, ch.length)
-		s.markChunk(ch)
-		env.Recorder().At(obs.EvSegmentDone, int64(env.Now()), ch.task.Client.Name, int64(ch.task.ID), int64(ch.length))
+		ch.task.Desc.MarkRange(ch.dstOff, ch.length)
+		ch.task.segDone += ch.length
+		s.env.Recorder().At(obs.EvSegmentDone, int64(s.now()), ch.task.Client.Name, int64(ch.task.ID), int64(ch.length))
 	}
-	ch.task.Client.Progress.Broadcast(env)
-	if ch.task.Desc != nil {
-		ch.task.Desc.NotifyProgress(env)
-	}
+	ch.task.Client.Progress.Broadcast(s.env)
+	ch.task.Desc.NotifyProgress(s.env)
 }
 
 // dispatchDMASharded distributes a round's DMA chunks (the dmaSet
@@ -894,7 +888,6 @@ func (s *Service) dmaDone(env *sim.Env, eng int, ch chunk, err error) {
 // batch marks segments as transfers land; a transfer the fault layer
 // failed is rolled back by dmaDone instead.
 func (s *Service) dispatchDMASharded(ctx Ctx, c *Client, all []chunk, dmaSet []bool) {
-	env := ctx.Env()
 	now := s.now()
 	// Availability snapshot for the round: quarantined engines admit at
 	// most one half-open probe chunk, dead ones nothing. The scratch is
@@ -963,12 +956,10 @@ func (s *Service) dispatchDMASharded(ctx Ctx, c *Client, all []chunk, dmaSet []b
 		s.Stats.FallbackBytes += int64(fellBack)
 		s.env.Recorder().At(obs.EvEngineFallback, int64(now), all[0].task.Client.Name, int64(all[0].task.ID), int64(fellBack))
 	}
-	for e := range s.dmas {
+	for e, dma := range s.dmas {
 		var b *dmaBatch
-		pairs := c.pairBuf[:0]
 		for i, ch := range all {
 			if eng[i] == e {
-				pairs = append(pairs, [2]hw.FrameRange{ch.dst, ch.src})
 				if b == nil {
 					b = s.getDMABatch()
 					b.eng = e
@@ -976,47 +967,33 @@ func (s *Service) dispatchDMASharded(ctx Ctx, c *Client, all []chunk, dmaSet []b
 				b.chunks = append(b.chunks, ch)
 			}
 		}
-		c.pairBuf = pairs
 		if b == nil {
 			continue
 		}
-		cost := sim.Time(cycles.DMASubmit) + sim.Time(len(pairs)-1)*cycles.DMASubmit/4
-		ctx.Exec(cost)
-		b.env = env
+		ctx.Exec(sim.Time(cycles.DMASubmit) + sim.Time(len(b.chunks)-1)*cycles.DMASubmit/4)
 		for _, ch := range b.chunks {
 			ch.task.issued.MarkRange(ch.dstOff, ch.length)
 			ch.task.inflight++
 			s.Stats.DMABytes += int64(ch.length)
+			b.reqs = append(b.reqs, dma.Enqueue(ch.dst, ch.src))
 		}
-		s.inflightDMA += len(pairs)
-		b.left = len(pairs)
-		s.dmas[e].EnqueueBatch(pairs, b.cb)
+		s.inflightDMA += len(b.chunks)
+		s.env.Schedule(b.reqs[0].CompleteAt-s.now(), b.step)
 	}
 }
 
-// engineDone estimates when engine e would complete ch: its queue
-// drain time (current busyUntil plus this round's pending
-// assignments) plus the distance-scaled transfer cost.
-//
-//copier:noalloc
-func (s *Service) engineDone(e int, now sim.Time, pend []sim.Time, ch chunk) sim.Time {
-	start := s.dmas[e].BusyUntil()
-	if start < now {
-		start = now
-	}
-	return start + pend[e] + s.dmas[e].XferCost(ch.dst, ch.src)
-}
-
-// engineEstimate is engineDone with the health penalty applied: a
-// degraded engine's retry risk is priced as one extra transfer cost,
-// steering marginal chunks toward healthy siblings without abandoning
-// the engine outright.
+// engineEstimate estimates when engine e would complete ch: its queue
+// drain time (current busyUntil plus this round's pending assignments)
+// plus the distance-scaled transfer cost. A degraded engine's retry
+// risk is priced as one extra transfer cost, steering marginal chunks
+// toward healthy siblings without abandoning the engine outright.
 //
 //copier:noalloc
 func (s *Service) engineEstimate(e int, now sim.Time, pend []sim.Time, ch chunk) sim.Time {
-	done := s.engineDone(e, now, pend, ch)
+	cost := s.dmas[e].XferCost(ch.dst, ch.src)
+	done := max(s.dmas[e].BusyUntil(), now) + pend[e] + cost
 	if s.health[e].state == EngineDegraded {
-		done += s.dmas[e].XferCost(ch.dst, ch.src)
+		done += cost
 	}
 	return done
 }
@@ -1062,17 +1039,6 @@ func (s *Service) account(c *Client, n units.Bytes) {
 	if c.Group != nil {
 		c.Group.vruntime += delta
 	}
-}
-
-// markChunk sets the descriptor bits covered by a completed chunk.
-//
-//copier:noalloc
-func (s *Service) markChunk(ch chunk) {
-	t := ch.task
-	if t.Desc != nil {
-		t.Desc.MarkRange(ch.dstOff, ch.length)
-	}
-	t.segDone += ch.length
 }
 
 // finishTask finalizes a fully-copied task: handler delegation and
@@ -1130,10 +1096,8 @@ func (s *Service) failTask(ctx Ctx, c *Client, t *Task, err error) {
 	s.awaitInFlight(ctx, t)
 	s.unpinAll(ctx, t.pins)
 	t.pins = t.pins[:0]
-	if t.Desc != nil {
-		t.Desc.Err = err
-		t.Desc.NotifyProgress(ctx.Env())
-	}
+	t.Desc.Err = err
+	t.Desc.NotifyProgress(ctx.Env())
 	c.backlogBytes -= int64(t.Len)
 	s.backlogBytes -= int64(t.Len)
 	s.Stats.FailedTasks++

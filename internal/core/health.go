@@ -289,10 +289,8 @@ func (s *Service) rejectAdmission(c *Client, t *Task) bool {
 	}
 	t.executed = true
 	t.err = ErrOverload
-	if t.Desc != nil {
-		t.Desc.Err = ErrOverload
-		t.Desc.NotifyProgress(s.env)
-	}
+	t.Desc.Err = ErrOverload
+	t.Desc.NotifyProgress(s.env)
 	s.env.Recorder().At(obs.EvTaskShed, int64(s.now()), c.Name, int64(t.ID), reason)
 	c.Progress.Broadcast(s.env)
 	return true

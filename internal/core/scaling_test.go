@@ -119,6 +119,60 @@ func TestServiceMultiThreadPartition(t *testing.T) {
 	_ = env.Run(env.Now() + 10_000_000)
 }
 
+// A partition change while a sweep is in flight must not let two
+// threads serve one client at once. Auto-scaling spawns slot 1 while
+// slot 0 still sweeps on its one-thread client snapshot, so both
+// threads' snapshots hold c1, and slot 1 picks c1 while slot 0 is
+// still serving it. Served by both at once, c1's rounds share one set
+// of per-client scratch buffers, and a round ends up chunking a page
+// nobody faulted in (a panic in contig). Every copy must complete.
+func TestPartitionChangeServesClientOnce(t *testing.T) {
+	env := sim.NewEnv()
+	pm := mem.NewPhysMem(64 << 20)
+	cfg := DefaultConfig()
+	cfg.MaxThreads = 2
+	cfg.HighLoad = 16 << 10
+	cfg.LowLoad = 8 << 10
+	svc := NewService(env, pm, cfg)
+	svc.SetSpawnThread(func(slot int) {
+		env.Go(fmt.Sprintf("copierd%d", slot), func(p *sim.Proc) {
+			svc.ThreadMain(testCtx{p}, slot)
+		})
+	})
+	// Unpopulated buffers: the service demand-faults every page itself,
+	// which stretches each round across many yields.
+	const copies, n = 8, 4 << 10
+	var tasks []*Task
+	for ci := 0; ci < 2; ci++ {
+		as := mem.NewAddrSpace(pm)
+		c := svc.NewClient(fmt.Sprintf("c%d", ci), as, as, nil)
+		src := as.MMap(copies*n, mem.PermRead|mem.PermWrite, "s")
+		dst := as.MMap(copies*n, mem.PermRead|mem.PermWrite, "d")
+		for i := 0; i < copies; i++ {
+			off := mem.VA(i * n)
+			task := &Task{Src: src + off, Dst: dst + off, SrcAS: as, DstAS: as, Len: n}
+			if !c.SubmitCopy(task, false) {
+				t.Fatal("copy ring full")
+			}
+			tasks = append(tasks, task)
+		}
+	}
+	env.Go("copierd0", func(p *sim.Proc) { svc.ThreadMain(testCtx{p}, 0) })
+	if err := env.Run(20_000_000); err != nil {
+		t.Fatal(err)
+	}
+	for i, task := range tasks {
+		if !task.Executed() || task.Err() != nil {
+			t.Fatalf("task %d: executed %v, err %v", i, task.Executed(), task.Err())
+		}
+	}
+	if got := svc.Stats.TasksExecuted; got != 2*copies {
+		t.Fatalf("TasksExecuted = %d, want %d", got, 2*copies)
+	}
+	svc.Stop()
+	_ = env.Run(env.Now() + 10_000_000)
+}
+
 // A full user sync ring must not wedge csync: SubmitSync returns
 // false and the caller's spin still completes via FIFO execution.
 func TestSyncRingBackpressure(t *testing.T) {

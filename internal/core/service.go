@@ -519,10 +519,8 @@ func (s *Service) teardownClient(ctx Ctx, c *Client) {
 		t.pins = nil
 		t.aborted = true
 		t.err = ErrClientDead
-		if t.Desc != nil {
-			t.Desc.Err = ErrClientDead
-			t.Desc.NotifyProgress(ctx.Env())
-		}
+		t.Desc.Err = ErrClientDead
+		t.Desc.NotifyProgress(ctx.Env())
 		c.backlogBytes -= int64(t.Len)
 		s.backlogBytes -= int64(t.Len)
 		s.Stats.AbortedTasks++
@@ -630,14 +628,17 @@ func (s *Service) ThreadMain(ctx Ctx, slot int) {
 			l.worked, l.mine = s.sweepQueues(ctx, slot, l.mine)
 			l.at = atPick
 		case doServe:
-			budget := copySlice
-			if s.brownout {
-				// Brownout batches more aggressively: a doubled copy
-				// slice amortizes scheduling and submission costs while
-				// the service digs out of the backlog.
-				budget *= 2
+			if s.claim(l.pick) {
+				budget := copySlice
+				if s.brownout {
+					// Brownout batches more aggressively: a doubled copy
+					// slice amortizes scheduling and submission costs
+					// while the service digs out of the backlog.
+					budget *= 2
+				}
+				l.worked = s.serveClient(ctx, l.pick, budget) || l.worked
+				s.release(l.pick)
 			}
-			l.worked = s.serveClient(ctx, l.pick, budget) || l.worked
 			l.at = atSwept
 		case doSleep:
 			l.sleep(ctx)
@@ -645,17 +646,8 @@ func (s *Service) ThreadMain(ctx Ctx, slot int) {
 		}
 	}
 	// Final reclaim: a client killed just before Stop must not leak
-	// pins because the loop never saw it. Snapshot first — teardown
-	// unregisters clients from the list being walked.
-	var dying []*Client
-	for _, c := range s.clients {
-		if c.dying && !c.closed {
-			dying = append(dying, c)
-		}
-	}
-	for _, c := range dying {
-		s.teardownClient(ctx, c)
-	}
+	// pins because the loop never saw it.
+	s.reapDying(ctx, s.clients)
 	s.activeThreads--
 }
 
@@ -914,28 +906,18 @@ func nextTrigger(mine []*Client, admitAt sim.Time) sim.Time {
 // client list after any teardown.
 func (s *Service) sweepQueues(ctx Ctx, slot int, mine []*Client) (bool, []*Client) {
 	worked := false
-	// Dead clients first: reclaim their state before serving anything
-	// else. Collected first so that clients dying during a teardown's
-	// yields wait for the next sweep.
-	var dying []*Client
-	for _, c := range mine {
-		if c.dying && !c.closed {
-			dying = append(dying, c)
-		}
-	}
-	if len(dying) > 0 {
-		for _, c := range dying {
-			s.teardownClient(ctx, c)
-		}
+	// Dead clients first: reclaim their state before serving anything.
+	if s.reapDying(ctx, mine) {
 		worked = true
 		mine = s.clientsOf(slot)
 	}
 	for _, c := range mine {
-		if c.closed {
+		if c.closed || !s.claim(c) {
 			continue
 		}
 		before := len(c.pending)
 		c.admit(ctx, s)
+		s.release(c)
 		if len(c.pending) != before {
 			worked = true
 		}
@@ -943,8 +925,9 @@ func (s *Service) sweepQueues(ctx Ctx, slot int, mine []*Client) (bool, []*Clien
 	// Sync Tasks first: kernel-mode queues, then user-mode (§4.2.2).
 	for _, kmode := range []bool{true, false} {
 		for _, c := range mine {
-			if s.serveSyncQueue(ctx, c, kmode) {
-				worked = true
+			if s.claim(c) {
+				worked = s.serveSyncQueue(ctx, c, kmode) || worked
+				s.release(c)
 			}
 		}
 	}
@@ -955,9 +938,12 @@ func (s *Service) sweepQueues(ctx Ctx, slot int, mine []*Client) (bool, []*Clien
 	// are collected first).
 	dnow := s.now()
 	for _, c := range mine {
+		if !s.claim(c) {
+			continue
+		}
 		var failed, late []*Task
 		for _, t := range c.pending {
-			if t.executed || t.aborted || t.Kind != KindCopy {
+			if t.executed || t.aborted {
 				continue
 			}
 			if t.pendingErr != nil && t.inflight == 0 {
@@ -986,10 +972,14 @@ func (s *Service) sweepQueues(ctx Ctx, slot int, mine []*Client) (bool, []*Clien
 			worked = true
 		}
 		c.removeExecuted()
+		s.release(c)
 	}
 	// Expire lazy tasks.
 	now := s.now()
 	for _, c := range mine {
+		if !s.claim(c) {
+			continue
+		}
 		var expired []*Task
 		for _, t := range c.pending {
 			if t.Lazy && !t.executed && !t.aborted && now >= t.LazyDeadline {
@@ -1002,8 +992,55 @@ func (s *Service) sweepQueues(ctx Ctx, slot int, mine []*Client) (bool, []*Clien
 			worked = true
 		}
 		c.removeExecuted()
+		s.release(c)
 	}
 	return worked, mine
+}
+
+// reapDying tears down the dying clients among clients that no other
+// thread holds, and reports whether it tore any down. They are
+// collected first: teardown unregisters clients from s.clients, and
+// clients dying during a teardown's yields wait for the next call.
+func (s *Service) reapDying(ctx Ctx, clients []*Client) bool {
+	var dying []*Client
+	for _, c := range clients {
+		if c.dying && !c.closed {
+			dying = append(dying, c)
+		}
+	}
+	reaped := false
+	for _, c := range dying {
+		if !c.closed && s.claim(c) {
+			s.teardownClient(ctx, c)
+			s.release(c)
+			reaped = true
+		}
+	}
+	return reaped
+}
+
+// claim reserves c for the calling thread until release, or reports
+// false if another thread holds it. A sweep's client snapshot outlives
+// a partition change (clientsOf), so two threads' snapshots can share a
+// client, whose rounds all run on its one set of scratch buffers.
+func (s *Service) claim(c *Client) bool {
+	if c.held {
+		c.passed = true
+		return false
+	}
+	c.held = true
+	return true
+}
+
+// release ends a claim. A thread that found c held meanwhile may have
+// proved a quiet sweep without c's work, so release then rings the
+// doorbell: the epoch moves and sleeping threads wake.
+func (s *Service) release(c *Client) {
+	c.held = false
+	if c.passed {
+		c.passed = false
+		s.doorbell(c)
+	}
 }
 
 // pickClient implements the two-level CFS-by-copy-length policy over
@@ -1192,12 +1229,10 @@ func (s *Service) promote(ctx Ctx, c *Client, addr mem.VA, n units.Bytes) {
 	var targets []*Task
 	for _, t := range c.pending {
 		ctx.Exec(cycles.DependencyCheck)
-		if t.executed || t.aborted || t.Kind != KindCopy {
+		if t.executed || t.aborted {
 			continue
 		}
-		if t.Desc != nil && RangesOverlap(t.Desc.Base, t.Desc.Len, addr, n) {
-			targets = append(targets, t)
-		} else if RangesOverlap(t.Dst, t.Len, addr, n) {
+		if RangesOverlap(t.Desc.Base, t.Desc.Len, addr, n) || RangesOverlap(t.Dst, t.Len, addr, n) {
 			targets = append(targets, t)
 		}
 	}
@@ -1207,10 +1242,7 @@ func (s *Service) promote(ctx Ctx, c *Client, addr mem.VA, n units.Bytes) {
 		// Promote only the segments covering the synced range (§4.1
 		// fine-grained update; §4.4 layered absorption depends on the
 		// rest of the task staying pending).
-		base := t.Dst
-		if t.Desc != nil {
-			base = t.Desc.Base
-		}
+		base := t.Desc.Base
 		lo := units.Bytes(0)
 		if addr > base {
 			lo = units.Bytes(addr - base)
@@ -1233,7 +1265,7 @@ func (s *Service) promote(ctx Ctx, c *Client, addr mem.VA, n units.Bytes) {
 func (s *Service) abort(ctx Ctx, c *Client, st *Task) {
 	for _, t := range c.pending {
 		ctx.Exec(cycles.DependencyCheck)
-		if t.executed || t.aborted || t.Kind != KindCopy {
+		if t.executed || t.aborted {
 			continue
 		}
 		match := false

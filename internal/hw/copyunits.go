@@ -1,9 +1,12 @@
 // Package hw models the machine's copy hardware: the byte movement
 // every copy engine shares (CopyScatter, CopyRange) and an on-chip DMA
-// channel in the style of Intel I/OAT, which charges its background
-// transfer time from the calibrated cost model in internal/cycles. It
-// also provides the set-associative cache model used for the §6.3.5
-// microarchitectural study.
+// channel in the style of Intel I/OAT. The channel is the engine
+// alone: it queues descriptors FIFO, prices each one's background
+// transfer time from the calibrated cost model in internal/cycles, and
+// moves its bytes when the submitter completes it; walking completions
+// in virtual time is the submitter's job. It also provides the
+// set-associative cache model used for the §6.3.5 microarchitectural
+// study.
 package hw
 
 import (
@@ -25,11 +28,11 @@ import (
 // retryable.
 var ErrEngine = errors.New("hw: transient copy-engine failure")
 
-// ErrEngineDead is the permanent engine failure: the channel died
-// (injected Outcome.Perm or an explicit Kill) and will never move
-// another byte. Every queued and future descriptor completes with this
-// error; callers must re-steer the work to a sibling engine or the CPU
-// path rather than retry on this channel.
+// ErrEngineDead is the permanent engine failure: the channel died (an
+// injected Outcome.Perm) and will never move another byte. Every
+// queued and future descriptor completes with this error; callers must
+// re-steer the work to a sibling engine or the CPU path rather than
+// retry on this channel.
 var ErrEngineDead = errors.New("hw: copy engine permanently dead")
 
 // FrameRange addresses a byte range in physical memory starting inside
@@ -107,68 +110,18 @@ func TotalLen(rs []FrameRange) units.Bytes {
 	return n
 }
 
-// DMARequest tracks one in-flight DMA descriptor.
+// DMARequest is one DMA descriptor queued on a channel: the transfer
+// it names, when the engine finishes it, and the fault verdict drawn
+// for it when it was queued.
 type DMARequest struct {
 	dst, src FrameRange
 	// CompleteAt is when the engine finishes this transfer.
 	CompleteAt sim.Time
-	// Err is non-nil when the descriptor completed with a transient
-	// engine failure (only Copied bytes landed).
-	Err error
-	// Copied is how many bytes actually moved (== Len on success).
-	Copied units.Bytes
-	// fail/partial/perm hold the injected outcome decided at submit
-	// time; applied when the transfer completes. perm kills the owning
-	// channel at completion.
+	// fail/partial/perm hold the injected outcome Enqueue drew;
+	// Complete applies it. perm kills the owning channel at completion.
 	fail    bool
 	partial int
 	perm    bool
-}
-
-// complete performs the descriptor's data movement, honoring an
-// injected failure: a clean descriptor moves everything; a failed one
-// moves only its partial prefix and records ErrEngine.
-func (r *DMARequest) complete(pm *mem.PhysMem) units.Bytes {
-	dst, src := r.dst, r.src
-	if r.fail {
-		n := src.Len * units.Bytes(r.partial) / 1000
-		dst.Len, src.Len = n, n
-		r.Err = ErrEngine
-	}
-	var n units.Bytes
-	if src.Len > 0 {
-		n = CopyScatter(pm, []FrameRange{dst}, []FrameRange{src})
-	}
-	r.Copied = n
-	return n
-}
-
-// completeOn finalizes a descriptor against its owning channel. A
-// descriptor carrying an injected permanent failure kills the channel;
-// on a dead channel every descriptor — including the one that killed
-// it and anything queued behind it — completes with ErrEngineDead and
-// zero bytes moved. Live channels defer to the transient path.
-func (d *DMAChannel) completeOn(r *DMARequest) units.Bytes {
-	if r.perm && !d.dead {
-		d.dead = true
-		d.diedAt = d.env.Now()
-	}
-	if d.dead {
-		r.Err = ErrEngineDead
-		r.Copied = 0
-		return 0
-	}
-	return r.complete(d.pm)
-}
-
-// Kill marks the engine permanently dead, as if the next completion
-// had drawn Outcome.Perm: no further bytes move and every outstanding
-// or future descriptor completes with ErrEngineDead. Idempotent.
-func (d *DMAChannel) Kill() {
-	if !d.dead {
-		d.dead = true
-		d.diedAt = d.env.Now()
-	}
 }
 
 // Dead reports whether the engine has permanently failed.
@@ -184,7 +137,10 @@ func (d *DMAChannel) DiedAt() sim.Time {
 
 // DMAChannel is an on-chip DMA engine. Transfers proceed in background
 // virtual time without occupying any CPU; each descriptor requires the
-// source and destination to be physically contiguous (§4.3).
+// source and destination to be physically contiguous (§4.3). The
+// channel models the engine only: Enqueue prices a descriptor into the
+// FIFO queue, and the submitter calls Complete for it at its
+// CompleteAt.
 type DMAChannel struct {
 	env *sim.Env
 	pm  *mem.PhysMem
@@ -194,8 +150,6 @@ type DMAChannel struct {
 	BytesCopied int64
 	// Submitted counts descriptors.
 	Submitted int64
-	// Faults counts descriptors the fault layer failed or stalled.
-	Faults int64
 	// inj, when non-nil, is consulted once per descriptor at submit
 	// time (nil-safe: a nil injector injects nothing).
 	inj *fault.Injector
@@ -209,15 +163,10 @@ type DMAChannel struct {
 	// track names the engine's timeline row; per-node engines get
 	// distinct rows ("hw:DMA0", "hw:DMA1", ...).
 	track string
-	// batchPool recycles EnqueueBatch carriers (descriptor arena +
-	// completion-walk closure), so a steady stream of batches
-	// allocates nothing. Safe without locking: the simulation is
-	// single-threaded per environment.
-	batchPool []*dmaBatch
-	// dead marks a permanent engine failure (injected Outcome.Perm or
-	// Kill). A dead engine moves no bytes: every queued or future
-	// descriptor completes with ErrEngineDead at its scheduled time
-	// (the detection latency a real completion interrupt would have).
+	// dead marks a permanent engine failure (an injected Outcome.Perm).
+	// A dead engine moves no bytes: every queued or future descriptor
+	// completes with ErrEngineDead at its scheduled time (the detection
+	// latency a real completion interrupt would have).
 	dead   bool
 	diedAt sim.Time
 }
@@ -234,7 +183,6 @@ func (d *DMAChannel) decideFault(req *DMARequest, n units.Bytes) sim.Time {
 	if !o.Faulty() {
 		return 0
 	}
-	d.Faults++
 	req.fail = o.Fail
 	req.partial = o.Partial
 	req.perm = o.Perm
@@ -272,108 +220,66 @@ func NewDMAChannel(env *sim.Env, pm *mem.PhysMem, node int, t *topo.Topology) *D
 // Track returns the engine's timeline row name.
 func (d *DMAChannel) Track() string { return d.track }
 
-// xferDur is the engine occupancy of one descriptor: the flat DMA
+// XferCost is the engine occupancy of one descriptor: the flat DMA
 // cost, scaled by the NUMA distance the transfer spans, plus the fixed
-// remote-hop latency (zero at DistLocal).
-func (d *DMAChannel) xferDur(dst, src FrameRange) sim.Time {
+// remote-hop latency (zero at DistLocal). The service's engine
+// steering compares it across engines.
+func (d *DMAChannel) XferCost(dst, src FrameRange) sim.Time {
 	dist := d.numa.PairDist(d.node, d.pm.NodeOf(src.Frame), d.pm.NodeOf(dst.Frame))
 	return cycles.NUMACopyCost(cycles.UnitDMA, src.Len, dist) + cycles.NUMAXferLatency(dist)
 }
 
-// XferCost reports what one descriptor would occupy the engine for,
-// including any NUMA distance penalty — the quantity the service's
-// engine steering compares across engines.
-func (d *DMAChannel) XferCost(dst, src FrameRange) sim.Time { return d.xferDur(dst, src) }
-
-// dmaBatch carries one EnqueueBatch submission through its completion
-// walk: the descriptor arena, the cursor, and the pre-bound step
-// closure. Carriers are recycled through the channel's pool once the
-// walk finishes.
-type dmaBatch struct {
-	d      *DMAChannel
-	reqs   []DMARequest
-	i      int
-	onDone func(i int, err error)
-	step   func()
-}
-
-// getBatch pops a recycled carrier or builds one with its step
-// closure bound once.
-func (d *DMAChannel) getBatch() *dmaBatch {
-	if n := len(d.batchPool); n > 0 {
-		b := d.batchPool[n-1]
-		d.batchPool[n-1] = nil
-		d.batchPool = d.batchPool[:n-1]
-		return b
-	}
-	b := &dmaBatch{d: d}
-	b.step = func() {
-		req := &b.reqs[b.i]
-		b.d.BytesCopied += int64(b.d.completeOn(req))
-		if b.onDone != nil {
-			b.onDone(b.i, req.Err)
-		}
-		b.i++
-		if b.i < len(b.reqs) {
-			b.d.env.Schedule(b.reqs[b.i].CompleteAt-b.d.env.Now(), b.step)
-			return
-		}
-		// Walk done: recycle. The onDone callback may already have
-		// enqueued a follow-up batch; it drew a different carrier
-		// because this one is only pushed back here.
-		b.onDone = nil
-		b.reqs = b.reqs[:0]
-		b.d.batchPool = append(b.d.batchPool, b)
-	}
-	return b
-}
-
-// EnqueueBatch enqueues all pairs back to back without charging any
-// submission cost (callers Exec the amortized batch cost themselves).
-// The channel drains its queue FIFO, so completion is driven by a
-// single live event that walks the batch in order: each step performs
-// the descriptor's data movement (possibly partial under an injected
-// fault), invokes onDone(i, err) and reschedules itself for the next descriptor — one event in the heap
-// per batch instead of one per descriptor. err is nil on success and
-// ErrEngine when the fault layer failed the descriptor. pairs is
-// copied into the carrier's arena during the call; the caller may
-// reuse it immediately.
-func (d *DMAChannel) EnqueueBatch(pairs [][2]FrameRange, onDone func(i int, err error)) {
-	if len(pairs) == 0 {
-		return
+// Enqueue queues one descriptor behind the engine's outstanding work
+// without charging any submission cost (the submitter Execs the
+// doorbell itself) and returns it with CompleteAt set. The fault layer
+// decides the descriptor's outcome now; an injected stall extends its
+// occupancy of the engine, so later descriptors see it too. Nothing
+// moves until the submitter calls Complete at CompleteAt.
+func (d *DMAChannel) Enqueue(dst, src FrameRange) DMARequest {
+	if dst.Len != src.Len {
+		panic(fmt.Sprintf("hw: DMA length mismatch %d != %d", dst.Len, src.Len))
 	}
 	now := d.env.Now()
-	start := d.busyUntil
-	if start < now {
-		start = now
-	}
-	b := d.getBatch()
-	b.onDone = onDone
-	b.i = 0
-	reqs := b.reqs[:0]
+	start := max(d.busyUntil, now)
+	req := DMARequest{dst: dst, src: src}
+	dur := d.XferCost(dst, src) + d.decideFault(&req, src.Len)
+	req.CompleteAt = start + dur
+	d.busyUntil = req.CompleteAt
+	d.BusyCycles += int64(dur)
+	d.Submitted++
 	r := d.env.Recorder()
-	for _, pr := range pairs {
-		dst, src := pr[0], pr[1]
-		if dst.Len != src.Len {
-			panic(fmt.Sprintf("hw: DMA length mismatch %d != %d", dst.Len, src.Len))
-		}
-		reqs = append(reqs, DMARequest{dst: dst, src: src})
-		req := &reqs[len(reqs)-1]
-		// An injected stall extends the transfer's occupancy of the
-		// engine, so later descriptors in the queue see it too.
-		dur := d.xferDur(dst, src) + d.decideFault(req, src.Len)
-		req.CompleteAt = start + dur
-		d.BusyCycles += int64(dur)
-		r.On(d.track, obs.EvDMASubmit, int64(now), 0, "submit", int64(src.Len), 0)
-		// The channel drains its queue in order: the transfer occupies
-		// [start, start+dur), possibly beginning in the future.
-		r.On(d.track, obs.EvUnitBusyInterval, int64(start), int64(dur), "xfer", int64(src.Len), 0)
-		start = req.CompleteAt
+	r.On(d.track, obs.EvDMASubmit, int64(now), 0, "submit", int64(src.Len), 0)
+	// The channel drains its queue in order: the transfer occupies
+	// [start, CompleteAt), possibly beginning in the future.
+	r.On(d.track, obs.EvUnitBusyInterval, int64(start), int64(dur), "xfer", int64(src.Len), 0)
+	return req
+}
+
+// Complete performs req's data movement as the engine finishes it and
+// returns its error: nil for a clean transfer; ErrEngine when the
+// fault layer failed it, after moving only its partial prefix; and
+// ErrEngineDead, with nothing moved, once the channel has died. A
+// descriptor carrying an injected permanent failure kills the channel
+// as it completes, and with it everything queued behind.
+func (d *DMAChannel) Complete(req *DMARequest) error {
+	if req.perm && !d.dead {
+		d.dead = true
+		d.diedAt = d.env.Now()
 	}
-	b.reqs = reqs
-	d.busyUntil = start
-	d.Submitted += int64(len(pairs))
-	d.env.Schedule(reqs[0].CompleteAt-now, b.step)
+	if d.dead {
+		return ErrEngineDead
+	}
+	dst, src := req.dst, req.src
+	var err error
+	if req.fail {
+		n := src.Len * units.Bytes(req.partial) / 1000
+		dst.Len, src.Len = n, n
+		err = ErrEngine
+	}
+	if src.Len > 0 {
+		d.BytesCopied += int64(CopyRange(d.pm, dst, src))
+	}
+	return err
 }
 
 // BusyUntil reports when the channel's queue drains.

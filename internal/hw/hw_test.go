@@ -103,7 +103,7 @@ func TestCopyScatterChunkingProperty(t *testing.T) {
 }
 
 // A descriptor completes in background time, one transfer cost after
-// it is enqueued on an idle channel: no byte moves before then.
+// it is enqueued on an idle channel: no byte moves before Complete.
 func TestDMABackgroundCompletion(t *testing.T) {
 	env, pm := setup()
 	d := NewDMAChannel(env, pm, 0, nil)
@@ -111,21 +111,15 @@ func TestDMABackgroundCompletion(t *testing.T) {
 	df, _ := pm.AllocFrame()
 	fill(pm, sf, 0, []byte("dma-payload"))
 	n := units.Bytes(11)
-	doneAt := sim.Time(-1)
-	d.EnqueueBatch([][2]FrameRange{{{df, 0, n}, {sf, 0, n}}}, func(i int, err error) {
-		if i != 0 || err != nil {
-			t.Errorf("onDone(%d, %v)", i, err)
-		}
-		doneAt = env.Now()
-	})
+	r := d.Enqueue(FrameRange{df, 0, n}, FrameRange{sf, 0, n})
+	if want := cycles.CopyCost(cycles.UnitDMA, n); r.CompleteAt != want {
+		t.Fatalf("completes at %d, want one transfer cost %d", r.CompleteAt, want)
+	}
 	if string(pm.FrameBytes(df)[:n]) == "dma-payload" {
 		t.Fatal("DMA completed synchronously")
 	}
-	if err := env.Run(sim.Infinity); err != nil {
+	if err := d.Complete(&r); err != nil {
 		t.Fatal(err)
-	}
-	if want := cycles.CopyCost(cycles.UnitDMA, n); doneAt != want {
-		t.Fatalf("completed at %d, want one transfer cost %d", doneAt, want)
 	}
 	if string(pm.FrameBytes(df)[:n]) != "dma-payload" {
 		t.Fatal("DMA did not move data")
@@ -135,30 +129,18 @@ func TestDMABackgroundCompletion(t *testing.T) {
 	}
 }
 
-// The channel drains its queue FIFO across batches: a second batch
-// enqueued while the first is in flight starts only when it ends.
+// The channel drains its queue FIFO: a descriptor enqueued while
+// another is in flight starts only when that one ends.
 func TestDMAQueueSerializes(t *testing.T) {
 	env, pm := setup()
 	d := NewDMAChannel(env, pm, 0, nil)
 	fs, _ := pm.AllocFrames(4)
 	n := units.Bytes(8192)
 	cost := cycles.CopyCost(cycles.UnitDMA, n)
-	var order []int
-	var at []sim.Time
-	for b := 0; b < 2; b++ {
-		d.EnqueueBatch([][2]FrameRange{{{fs[2*b], 0, n}, {fs[2*b+1], 0, n}}}, func(int, error) {
-			order = append(order, b)
-			at = append(at, env.Now())
-		})
-	}
-	if err := env.Run(sim.Infinity); err != nil {
-		t.Fatal(err)
-	}
-	if len(order) != 2 || order[0] != 0 || order[1] != 1 {
-		t.Fatalf("completion order %v, want [0 1]", order)
-	}
-	if at[0] != cost || at[1] != 2*cost {
-		t.Fatalf("completed at %v, want [%d %d]", at, cost, 2*cost)
+	r0 := d.Enqueue(FrameRange{fs[0], 0, n}, FrameRange{fs[1], 0, n})
+	r1 := d.Enqueue(FrameRange{fs[2], 0, n}, FrameRange{fs[3], 0, n})
+	if r0.CompleteAt != cost || r1.CompleteAt != 2*cost {
+		t.Fatalf("complete at [%d %d], want [%d %d]", r0.CompleteAt, r1.CompleteAt, cost, 2*cost)
 	}
 	if d.Submitted != 2 || d.BusyUntil() != 2*cost {
 		t.Fatalf("Submitted = %d, BusyUntil = %d", d.Submitted, d.BusyUntil())
@@ -174,7 +156,7 @@ func TestDMAMismatchedLengthsPanic(t *testing.T) {
 			t.Error("no panic")
 		}
 	}()
-	d.EnqueueBatch([][2]FrameRange{{{fs[0], 0, 10}, {fs[1], 0, 20}}}, nil)
+	d.Enqueue(FrameRange{fs[0], 0, 10}, FrameRange{fs[1], 0, 20})
 }
 
 func TestCacheHitMissLRU(t *testing.T) {

@@ -206,16 +206,6 @@ func (m *Machine) RunApps(threads ...*Thread) error {
 // Now returns the machine's virtual time.
 func (m *Machine) Now() sim.Time { return m.Env.Now() }
 
-// freeCoreFor finds an idle core usable by t.
-func (m *Machine) freeCoreFor(t *Thread) *Core {
-	for _, c := range m.cores {
-		if c.cur == nil && (c.reservedFor == nil || c.reservedFor == t) {
-			return c
-		}
-	}
-	return nil
-}
-
 // DedicateCore reserves core id for thread t (and makes t run there).
 func (m *Machine) DedicateCore(id int, t *Thread) {
 	c := m.cores[id]

@@ -26,8 +26,8 @@ import (
 //   - det-go: a real `go` statement. Simulation processes are
 //     spawned with Env.Go, which interleaves them deterministically.
 //   - det-sync: sync/sync.atomic primitives, channel types and
-//     operations, and select. Blocking must go through sim.Signal,
-//     sim.Queue or sim.Resource so wake order is simulated.
+//     operations, and select. Blocking must go through sim.Signal
+//     so wake order is simulated.
 //   - det-map-order: a `range` over a map whose body is
 //     order-sensitive — it emits output, appends to a slice declared
 //     outside the loop (unless the slice is sorted immediately after
@@ -96,17 +96,17 @@ func (d *detWalker) visit(n ast.Node) {
 	case *ast.SendStmt:
 		d.report(n.Pos(), RuleDetSync,
 			"channel send in simulator-domain code",
-			"signal through sim.Signal/sim.Queue")
+			"signal through sim.Signal")
 	case *ast.UnaryExpr:
 		if n.Op == token.ARROW {
 			d.report(n.Pos(), RuleDetSync,
 				"channel receive in simulator-domain code",
-				"block on sim.Signal/sim.Queue instead")
+				"block on sim.Signal instead")
 		}
 	case *ast.SelectStmt:
 		d.report(n.Pos(), RuleDetSync,
 			"select statement in simulator-domain code",
-			"simulated waiting uses sim.Signal/sim.Queue")
+			"simulated waiting uses sim.Signal")
 	case *ast.ChanType:
 		d.report(n.Pos(), RuleDetSync,
 			"channel type in simulator-domain code",

@@ -15,7 +15,7 @@
 //     index heap with slot recycling — see eventq.go; the steady-state
 //     schedule/pop cycle does not allocate).
 //   - Proc is a coroutine; it advances time with Wait, or blocks on a
-//     Signal/Queue until another process wakes it. A Wait whose wake
+//     Signal until another process wakes it. A Wait whose wake
 //     would be the loop's very next event just moves the clock, with
 //     no switch: nothing else can run in between, so no one can tell.
 //   - Env.Spin runs a process's wait loop in event context: a loop
@@ -141,12 +141,12 @@ type Proc struct {
 	next    func() (struct{}, bool)
 	yieldFn func(struct{}) bool
 	// blockedOn is a human-readable reason set while the proc is
-	// waiting on a Signal/Queue; used in deadlock reports.
+	// waiting on a Signal; used in deadlock reports.
 	blockedOn string
 	finished  bool
 	started   bool
 	// handoffFn is the pre-allocated Schedule target for every wake
-	// path (Wait, Broadcast, Queue.Release), and timeoutFn the one for
+	// path (Wait, Broadcast), and timeoutFn the one for
 	// a WaitTimeout expiry, so the steady-state sleep/wake cycle
 	// allocates nothing.
 	handoffFn func()
@@ -396,80 +396,6 @@ func (s *Signal) Broadcast(e *Env) {
 
 // NWaiting reports how many processes are blocked on the signal.
 func (s *Signal) NWaiting() int { return len(s.waiters) - s.stale }
-
-// Queue is a FIFO wait queue releasing one waiter per Release call —
-// the building block for resources and run queues.
-type Queue struct {
-	name    string
-	blocked string // precomputed "queue:<name>" label
-	waiters []*Proc
-}
-
-// NewQueue returns a named FIFO wait queue.
-func NewQueue(name string) *Queue { return &Queue{name: name, blocked: "queue:" + name} }
-
-// Wait appends p and blocks until a Release reaches it.
-func (q *Queue) Wait(p *Proc) {
-	q.waiters = append(q.waiters, p)
-	p.blockedOn = q.blocked
-	p.yield()
-	p.blockedOn = ""
-}
-
-// Release wakes the oldest waiter, if any, and reports whether one was
-// woken.
-func (q *Queue) Release(e *Env) bool {
-	if len(q.waiters) == 0 {
-		return false
-	}
-	w := q.waiters[0]
-	q.waiters = q.waiters[1:]
-	e.Schedule(0, w.handoffFn)
-	return true
-}
-
-// Len reports the number of blocked processes.
-func (q *Queue) Len() int { return len(q.waiters) }
-
-// Resource is a counting semaphore with FIFO admission.
-type Resource struct {
-	name     string
-	capacity int
-	inUse    int
-	q        *Queue
-}
-
-// NewResource returns a resource with the given capacity (>=1).
-func NewResource(name string, capacity int) *Resource {
-	if capacity < 1 {
-		panic("sim: resource capacity must be >= 1")
-	}
-	return &Resource{name: name, capacity: capacity, q: NewQueue("res:" + name)}
-}
-
-// Acquire obtains one unit, blocking in FIFO order if none is free.
-func (r *Resource) Acquire(p *Proc) {
-	if r.inUse < r.capacity {
-		r.inUse++
-		return
-	}
-	r.q.Wait(p)
-	// Woken by Release, which transferred the unit to us.
-}
-
-// Release returns one unit, waking the oldest waiter if any.
-func (r *Resource) Release(e *Env) {
-	if r.q.Release(e) {
-		return // unit transferred directly to the waiter
-	}
-	if r.inUse == 0 {
-		panic("sim: release of idle resource " + r.name)
-	}
-	r.inUse--
-}
-
-// InUse reports how many units are currently held.
-func (r *Resource) InUse() int { return r.inUse }
 
 // DeadlockError reports processes still blocked when the event heap
 // drained.

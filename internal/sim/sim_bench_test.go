@@ -30,13 +30,15 @@ func BenchmarkEventLoopDepth64(b *testing.B) {
 	rnd := uint64(1)
 	next := func() Time {
 		rnd = rnd*6364136223846793005 + 1442695040888963407
-		return Time(rnd % 1024)
+		// 1..1024: a zero delay would re-fire at the same instant and
+		// skew the depth.
+		return Time(rnd%1024 + 1)
 	}
 	var fn func()
 	fn = func() {
 		fired++
 		if fired <= n {
-			e.Schedule(next()+1, fn)
+			e.Schedule(next(), fn)
 		}
 	}
 	for i := 0; i < depth; i++ {

@@ -120,62 +120,6 @@ func TestSignalBroadcastWakesFIFO(t *testing.T) {
 	}
 }
 
-func TestResourceFIFOAndCapacity(t *testing.T) {
-	e := NewEnv()
-	r := NewResource("cpu", 2)
-	var events []string
-	worker := func(name string, hold Time) {
-		e.Go(name, func(p *Proc) {
-			r.Acquire(p)
-			events = append(events, fmt.Sprintf("%s+%d", name, p.Now()))
-			p.Wait(hold)
-			events = append(events, fmt.Sprintf("%s-%d", name, p.Now()))
-			r.Release(e)
-		})
-	}
-	worker("w1", 100)
-	worker("w2", 100)
-	worker("w3", 50) // must wait until t=100
-	if err := e.Run(Infinity); err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"w1+0", "w2+0", "w1-100", "w2-100", "w3+100", "w3-150"}
-	if len(events) != len(want) {
-		t.Fatalf("events = %v", events)
-	}
-	for i := range want {
-		if events[i] != want[i] {
-			t.Fatalf("events = %v, want %v", events, want)
-		}
-	}
-	if r.InUse() != 0 {
-		t.Fatalf("resource leaked: inUse=%d", r.InUse())
-	}
-}
-
-func TestResourceTransfersUnitToWaiter(t *testing.T) {
-	e := NewEnv()
-	r := NewResource("r", 1)
-	got := false
-	e.Go("holder", func(p *Proc) {
-		r.Acquire(p)
-		p.Wait(10)
-		r.Release(e)
-	})
-	e.Go("waiter", func(p *Proc) {
-		p.Wait(1)
-		r.Acquire(p)
-		got = true
-		r.Release(e)
-	})
-	if err := e.Run(Infinity); err != nil {
-		t.Fatal(err)
-	}
-	if !got {
-		t.Fatal("waiter never acquired")
-	}
-}
-
 func TestDeadlockDetection(t *testing.T) {
 	e := NewEnv()
 	s := NewSignal("never")
@@ -208,34 +152,6 @@ func TestRunUntilStopsClock(t *testing.T) {
 	}
 	if e.Now() != 55 {
 		t.Fatalf("now = %d, want 55", e.Now())
-	}
-}
-
-func TestQueueReleaseOrder(t *testing.T) {
-	e := NewEnv()
-	q := NewQueue("q")
-	var order []int
-	for i := 0; i < 4; i++ {
-		i := i
-		e.Go(fmt.Sprintf("w%d", i), func(p *Proc) {
-			q.Wait(p)
-			order = append(order, i)
-		})
-	}
-	e.Go("releaser", func(p *Proc) {
-		p.Wait(10)
-		for q.Len() > 0 {
-			q.Release(e)
-			p.Wait(1)
-		}
-	})
-	if err := e.Run(Infinity); err != nil {
-		t.Fatal(err)
-	}
-	for i := range order {
-		if order[i] != i {
-			t.Fatalf("order = %v", order)
-		}
 	}
 }
 
