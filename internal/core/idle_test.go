@@ -99,6 +99,45 @@ func submitOnEdge(when sim.Time, late bool) func(t *testing.T) (*sim.Env, *Servi
 	}
 }
 
+// stopOnEdge stops an idle flat service exactly at when, a sweep's
+// admission or pick instant, from a process scheduled before (early)
+// or after (late) the thread's step there.
+func stopOnEdge(when sim.Time, late bool) func(t *testing.T) (*sim.Env, *Service, sim.Time) {
+	return func(t *testing.T) (*sim.Env, *Service, sim.Time) {
+		h := newHarness(t, DefaultConfig())
+		at(h.env, when, late, h.svc.Stop)
+		h.start()
+		return h.env, h.svc, 2_000_000
+	}
+}
+
+// nodeCopy returns a submission of an n-byte copy between two fresh
+// buffers of node's address space to node's client.
+func (h *numaHarness) nodeCopy(t *testing.T, node, n int) func() {
+	t.Helper()
+	src, dst := h.alloc(t, node, n, 0x5C), h.alloc(t, node, n, 0)
+	as := h.spaces[node]
+	task := &Task{Src: src, Dst: dst, SrcAS: as, DstAS: as, Len: units.Bytes(n)}
+	return func() { h.clients[node].SubmitCopy(task, false) }
+}
+
+// staggeredSubmit staggers a 4-node service's threads (nodes 1 and 3
+// start with copies of different lengths; nodes 0 and 2 idle in step),
+// then submits a copy on node 2 exactly at node 0's admission instant
+// 100,900, before (early) or after (late) node 0's step there, and one
+// on node 0 at 150,000, whose dispatch instant shows node 0's phase.
+func staggeredSubmit(late bool) func(t *testing.T) (*sim.Env, *Service, sim.Time) {
+	return func(t *testing.T) (*sim.Env, *Service, sim.Time) {
+		h := newNUMAHarness(t, 4, DefaultConfig())
+		h.nodeCopy(t, 1, 4<<10)()
+		h.nodeCopy(t, 3, 24<<10)()
+		h.start()
+		at(h.env, 100_900, late, h.nodeCopy(t, 2, 4<<10))
+		at(h.env, 150_000, false, h.nodeCopy(t, 0, 4<<10))
+		return h.env, h.svc, 2_000_000
+	}
+}
+
 var idleScenarios = []idleScenario{
 	// A client killed mid-stretch is torn down at the next sweep, not
 	// at Stop's final reclaim.
@@ -214,6 +253,65 @@ var idleScenarios = []idleScenario{
 		as := h.spaces[0]
 		h.clients[0].SubmitCopy(&Task{Src: src, Dst: dst, SrcAS: as, DstAS: as, Len: 1 << 20}, false)
 		h.start()
+		return h.env, h.svc, 2_000_000
+	}},
+	// A scenario-driven thread idles after its copy; the scenario ends
+	// mid-stretch, so the next loop top blocks, and it starts again at
+	// 40,000 with a copy submitted at 60,000.
+	{"scenario-deactivated-mid-stretch", func(t *testing.T) (*sim.Env, *Service, sim.Time) {
+		cfg := DefaultConfig()
+		cfg.Mode = PollScenario
+		h := newHarness(t, cfg)
+		h.svc.Activate()
+		h.c.SubmitCopy(h.copyTask(t, 4<<10), false)
+		second := h.copyTask(t, 4<<10)
+		h.start()
+		at(h.env, 3_537, false, h.svc.Deactivate)
+		at(h.env, 40_000, false, h.svc.Activate)
+		at(h.env, 60_000, false, func() { h.c.SubmitCopy(second, false) })
+		return h.env, h.svc, 2_000_000
+	}},
+	{"stop-at-admission-mid-stretch/early", stopOnEdge(100_900, false)},
+	{"stop-at-admission-mid-stretch/late", stopOnEdge(100_900, true)},
+	{"stop-at-pick-mid-stretch/early", stopOnEdge(100_940, false)},
+	{"stop-at-pick-mid-stretch/late", stopOnEdge(100_940, true)},
+	{"4node-staggered-submit-ties-node0/early", staggeredSubmit(false)},
+	{"4node-staggered-submit-ties-node0/late", staggeredSubmit(true)},
+	// A client registered mid-stretch clears the partition cache
+	// without an epoch bump; the thread's next sweep rebuilds it, and
+	// a copy on the new client at 150,000 shows the thread's phase.
+	{"client-registered-mid-stretch", func(t *testing.T) (*sim.Env, *Service, sim.Time) {
+		h := newHarness(t, DefaultConfig())
+		task := h.copyTask(t, 4<<10)
+		var late *Client
+		h.start()
+		at(h.env, 100_037, false, func() { late = h.svc.NewClient("late", h.uas, h.kas, nil) })
+		at(h.env, 150_000, false, func() { late.SubmitCopy(task, false) })
+		return h.env, h.svc, 2_000_000
+	}},
+	// A second thread started mid-stretch raises activeThreads at
+	// once but rebuilds its partition only after its XSave: the first
+	// thread's next sweep must see the new count.
+	{"thread-started-mid-stretch", func(t *testing.T) (*sim.Env, *Service, sim.Time) {
+		cfg := DefaultConfig()
+		cfg.MaxThreads = 2
+		h := newHarness(t, cfg)
+		task := h.copyTask(t, 4<<10)
+		h.start()
+		at(h.env, 100_037, false, func() {
+			h.env.Go("copierd", func(p *sim.Proc) { h.svc.ThreadMain(testCtx{p}, 1) })
+		})
+		at(h.env, 150_000, false, func() { h.c.SubmitCopy(task, false) })
+		return h.env, h.svc, 2_000_000
+	}},
+	// Node 1's copy at 100,000 rings the doorbell, and its DMA
+	// dispatch then raises inflightDMA without another epoch bump
+	// while node 0 is in its next quiet stretch: node 0 must switch to
+	// the 40-cycle sweep that counts no PollSweeps.
+	{"numa-dispatch-mid-stretch", func(t *testing.T) (*sim.Env, *Service, sim.Time) {
+		h := newNUMAHarness(t, 2, DefaultConfig())
+		h.start()
+		at(h.env, 100_000, false, h.nodeCopy(t, 1, 1<<20))
 		return h.env, h.svc, 2_000_000
 	}},
 }
