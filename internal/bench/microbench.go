@@ -126,9 +126,10 @@ func (pollingCtx) BlockTimeout(*sim.Signal, sim.Time) bool { return true }
 // and 24 two-core sharded clients with nothing queued, the state a
 // fleet thread spends most sweeps in. The threads' NAPI sleeps end at
 // once, so they busy-poll for the whole run; one op is one 100-cycle
-// sweep period. A lone thread's waits skip their coroutine switch, but
-// with more threads each wake ties with another's, so every wait is an
-// event that runs the poll loop's next step (sim.Env.Spin).
+// sweep period. Every quiet sweep declares an idle stretch, so the
+// event loop skips the threads' sweeps in bulk up to each NAPI budget
+// (sim.Env.DeclareIdle); what is left per op is the share of one
+// budget's sleep and full sweep.
 func idleSweeps(nodes int) func(b *testing.B) {
 	return func(b *testing.B) {
 		env := sim.NewEnv()
@@ -158,6 +159,57 @@ func idleSweeps(nodes int) func(b *testing.B) {
 		if err := env.Run(env.Now() + cycles.XSave); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// serveBesideIdle benchmarks a serving thread beside idle ones: a
+// 4-node service whose node-0 thread serves back-to-back 64 KB copies
+// while the other three nodes' threads poll with nothing queued (their
+// NAPI sleeps end at once, as in idleSweeps). One op is one copy,
+// submitted once the last one completed. The serving thread's waits
+// are Proc.Wait: each one that only idle sweeps precede skips them and
+// moves the clock without a coroutine switch.
+func serveBesideIdle(b *testing.B) {
+	const nodes, size = 4, 64 << 10
+	env := sim.NewEnv()
+	cfg := core.DefaultConfig()
+	cfg.Topo = topo.NUMA(nodes, 2, 4<<20)
+	pm := mem.NewPhysMem(cfg.Topo.TotalMem())
+	if err := pm.ConfigureNodes(nodes); err != nil {
+		b.Fatal(err)
+	}
+	svc := core.NewService(env, pm, cfg)
+	as := mem.NewAddrSpace(pm)
+	cl := svc.NewClientOn("serve", as, as, nil, 0)
+	for i := 1; i < nodes; i++ {
+		svc.NewClientOn("idle", mem.NewAddrSpace(pm), nil, nil, i)
+	}
+	src := as.MMap(size, mem.PermRead|mem.PermWrite, "s")
+	dst := as.MMap(size, mem.PermRead|mem.PermWrite, "d")
+	for _, va := range []mem.VA{src, dst} {
+		if _, err := as.Populate(va, size, true); err != nil {
+			b.Fatal(err)
+		}
+	}
+	task := &core.Task{Src: src, Dst: dst, SrcAS: as, DstAS: as, Len: size}
+	for slot := 0; slot < nodes; slot++ {
+		env.Go("copierd", func(p *sim.Proc) { svc.ThreadMain(pollingCtx{benchCtx{p}}, slot) })
+	}
+	n := b.N
+	env.Go("client", func(p *sim.Proc) {
+		for i := 0; i < n; i++ {
+			task.Reuse()
+			cl.SubmitCopy(task, false)
+			for !task.Executed() {
+				cl.Progress.Wait(p)
+			}
+		}
+		svc.Stop()
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := env.Run(sim.Infinity); err != nil {
+		b.Fatal(err)
 	}
 }
 
@@ -326,9 +378,12 @@ func RunMicrobenches() MicroReport {
 		}
 	}))
 
+	// Idle polling, and a serving thread beside three idle ones
+	// (mirror BenchmarkIdleSweep and BenchmarkServeBesideIdle).
 	results = append(results,
 		micro("core/idle-sweep", 0, idleSweeps(1)),
-		micro("core/idle-sweep-4node", 0, idleSweeps(4)))
+		micro("core/idle-sweep-4node", 0, idleSweeps(4)),
+		micro("core/serve-64k-beside-3-idle", 64<<10, serveBesideIdle))
 
 	// Service end-to-end: one op drives 40 back-to-back 64KB copies
 	// through submit → admit → dispatch → completion on the simulated

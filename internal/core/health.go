@@ -267,6 +267,21 @@ func (s *Service) brownoutEval(now sim.Time) {
 	}
 }
 
+// brownoutResting reports whether brownoutEval changes nothing, at
+// any instant, while the backlog and the controller stay as they are:
+// no controller, or one resting on its current side with no edge
+// pending.
+func (s *Service) brownoutResting() bool {
+	switch {
+	case s.cfg.BrownoutHigh <= 0:
+		return true
+	case !s.brownout:
+		return s.pressureSince == 0 && s.backlogBytes <= s.cfg.BrownoutHigh
+	default:
+		return s.calmSince == 0 && s.backlogBytes >= s.cfg.BrownoutHigh/8
+	}
+}
+
 // rejectAdmission applies admission control at the moment a copy task
 // would move from its CSH ring into the merged pending list. Rejection
 // is deterministic and definite: the task completes immediately with

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"copier/internal/cycles"
@@ -598,9 +599,11 @@ func (s *Service) doorbell(c *Client) {
 //
 // The poll loop's rules live in poller.step, which runs between the
 // loop's waits in event context (sim.Env.Spin), so an idle thread's
-// sweeps cost no coroutine switch. The thread itself runs only what
-// needs its stack: blocking, a full sweep, serving the picked client,
-// and sleeping. ctx must run in its environment's current process.
+// sweeps cost no coroutine switch, and its quiet sweeps declare idle
+// stretches that the event loop skips (poller.declareIdle). The
+// thread itself runs only what needs its stack: blocking, a full
+// sweep, serving the picked client, and sleeping. ctx must run in its
+// environment's current process.
 func (s *Service) ThreadMain(ctx Ctx, slot int) {
 	s.activeThreads++
 	// Save AVX state once per activation instead of per copy (§4.3).
@@ -609,7 +612,9 @@ func (s *Service) ThreadMain(ctx Ctx, slot int) {
 	if c, ok := ctx.(interface{ Charge(sim.Time) }); ok {
 		l.charge = c.Charge
 	}
-	step, env := l.step, ctx.Env() // bound once: Spin allocates nothing
+	// Bound once: Spin and DeclareIdle allocate nothing.
+	step, env := l.step, ctx.Env()
+	l.idleOK, l.idleSkip = l.idleHolds, l.skipIdle
 	for l.at != doStop {
 		env.Spin(step)
 		switch l.at {
@@ -672,6 +677,11 @@ type poller struct {
 	full    bool
 	worked  bool
 	pick    *Client
+	// The idle stretch declared at the pending wait: whether its steps
+	// see DMA in flight, and its callbacks, bound once.
+	idleDMA  bool
+	idleOK   func() bool
+	idleSkip func(int64)
 }
 
 // pollAt is where a poll loop stands between steps, or the work its
@@ -715,7 +725,7 @@ func (l *poller) step() (sim.Time, bool) {
 				l.at = doActivate
 				return 0, false
 			}
-			if s.numNodes() == 1 && l.slot >= s.activeThreads && l.slot != 0 {
+			if l.parked() {
 				l.at = doPark
 				return 0, false
 			}
@@ -734,6 +744,9 @@ func (l *poller) step() (sim.Time, bool) {
 			// CFS pick: group with minimum vruntime, then client within
 			// (§4.5.3).
 			l.at = atPicked
+			if !l.full {
+				l.declareIdle()
+			}
 			return cycles.SchedulePick, true
 		case atPicked:
 			l.charge(cycles.SchedulePick)
@@ -759,6 +772,7 @@ func (l *poller) step() (sim.Time, bool) {
 			l.idle++
 			s.Stats.PollSweeps++
 			l.at = atPolled
+			l.declareIdle()
 			return cycles.PollIteration, true
 		case atPolled:
 			l.charge(cycles.PollIteration)
@@ -769,6 +783,94 @@ func (l *poller) step() (sim.Time, bool) {
 			}
 		}
 	}
+}
+
+// declareIdle declares the steps after the wait step is about to
+// return an idle stretch (sim.IdleStretch): quiet sweeps under the
+// quiet proof's epoch, before its trigger and before the thread would
+// sleep. With DMA in flight each step waits SchedulePick, resets idle
+// and admits the next quiet sweep. Otherwise the steps alternate: a
+// pick step (from atPicked) counts a fruitless sweep and waits
+// PollIteration, a poll step (from atPolled) admits the next sweep and
+// waits SchedulePick; the poll step that reaches sleepAfter is not
+// covered.
+func (l *poller) declareIdle() {
+	s := l.s
+	l.idleDMA = s.inflightDMA > 0
+	if !l.idleHolds() {
+		return
+	}
+	st := sim.IdleStretch{Before: l.quiet.until, OK: l.idleOK, Skip: l.idleSkip}
+	left := int64(s.sleepAfter() - l.idle) // fruitless sweeps before the sleep
+	switch {
+	case l.idleDMA:
+		if l.slot == 0 && s.autoscales() {
+			return
+		}
+		st.Waits, st.N = [2]sim.Time{cycles.SchedulePick, cycles.SchedulePick}, math.MaxInt64
+	case l.at == atPicked:
+		st.Waits, st.N = [2]sim.Time{cycles.PollIteration, cycles.SchedulePick}, 2*left-1
+	default:
+		st.Waits, st.N = [2]sim.Time{cycles.SchedulePick, cycles.PollIteration}, 2*left
+	}
+	if st.N > 0 {
+		s.env.DeclareIdle(st)
+	}
+}
+
+// idleHolds reports whether the declared stretch's steps are still
+// quiet sweeps that change nothing outside the loop: besides the epoch
+// (and, through Before, the trigger) of the quiet proof, it checks
+// every field the steps read that another thread or event can change
+// without bumping the epoch: whether DMA is in flight, Stop, the
+// scenario switch, the thread count (through the park test and the
+// partition cache, which NewClientOn and CloseClient also clear) and
+// the brownout controller.
+func (l *poller) idleHolds() bool {
+	s := l.s
+	return s.epoch == l.quiet.epoch && (s.inflightDMA > 0) == l.idleDMA && !s.stopped &&
+		(s.cfg.Mode != PollScenario || s.scenarioActive) && !l.parked() &&
+		s.partsThreads == s.activeThreads && s.parts[l.slot] != nil && s.brownoutResting()
+}
+
+// parked reports whether auto-scaling has parked this thread's slot
+// (flat machine only: the sharded service runs a static thread per
+// node).
+func (l *poller) parked() bool {
+	return l.s.numNodes() == 1 && l.slot >= l.s.activeThreads && l.slot != 0
+}
+
+// skipIdle does k covered steps' accounting (sim.IdleStretch.Skip) at
+// the k-th step's instant: each step charges the wait that ended at it.
+func (l *poller) skipIdle(k int64) {
+	s := l.s
+	if l.idleDMA {
+		l.charge(sim.Time(k) * cycles.SchedulePick)
+		l.idle = 0
+		l.admitAt = s.now()
+		return
+	}
+	picks, polls := k/2, k/2
+	if k%2 == 1 {
+		if l.at == atPicked {
+			picks++
+		} else {
+			polls++
+		}
+	}
+	l.charge(sim.Time(picks)*cycles.SchedulePick + sim.Time(polls)*cycles.PollIteration)
+	l.idle += int(picks)
+	s.Stats.PollSweeps += picks
+	if (l.at == atPolled) == (k%2 == 1) {
+		// The k-th step was a poll step: it admitted the sweep whose
+		// pick is now pending.
+		l.at, l.admitAt = atPicked, s.now()
+		return
+	}
+	if polls > 0 {
+		l.admitAt = s.now() - cycles.SchedulePick
+	}
+	l.at = atPolled
 }
 
 // sleepAfter is how many fruitless sweeps in a row put a thread to
@@ -811,9 +913,7 @@ func (l *poller) sleep(ctx Ctx) {
 // autoscale adjusts the active thread count to keep per-thread backlog
 // between LowLoad and HighLoad (§4.5.1).
 func (s *Service) autoscale() {
-	if s.cfg.MaxThreads <= 1 || s.numNodes() > 1 {
-		// The sharded service runs a static thread per node; parking
-		// a node's only thread would strand its clients.
+	if !s.autoscales() {
 		return
 	}
 	perThread := s.backlogBytes / int64(s.activeThreads)
@@ -832,6 +932,12 @@ func (s *Service) autoscale() {
 		s.activeThreads--
 	}
 }
+
+// autoscales reports whether autoscale can act: only on the flat
+// machine with room for more than one thread. The sharded service runs
+// a static thread per node; parking a node's only thread would strand
+// its clients.
+func (s *Service) autoscales() bool { return s.cfg.MaxThreads > 1 && s.numNodes() == 1 }
 
 // clientsOf returns the clients thread slot serves: slot t serves
 // node t%nodes (every slot on the flat machine, which is the one-node

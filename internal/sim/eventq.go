@@ -22,6 +22,9 @@ type event struct {
 	fn  func()
 	// canceled events stay in the heap but are skipped when popped.
 	canceled bool
+	// idle tags a Spin step's event whose step declared an idle
+	// stretch: the declaring proc's index in Env.idlers, plus one.
+	idle int32
 }
 
 // eventQueue is the 4-ary index heap plus slot arena and free list.
@@ -84,6 +87,23 @@ func (q *eventQueue) pop() (at Time, fn func(), canceled bool) {
 	}
 	q.free = append(q.free, top)
 	return at, fn, canceled
+}
+
+// detach removes the earliest event from the heap but keeps its slot,
+// for attach to put back. Caller checks empty().
+func (q *eventQueue) detach() {
+	n := len(q.heap) - 1
+	q.heap[0] = q.heap[n]
+	q.heap = q.heap[:n]
+	if n > 0 {
+		q.siftDown(0)
+	}
+}
+
+// attach pushes a detached slot back, at its event's (at, seq).
+func (q *eventQueue) attach(slot int32) {
+	q.heap = append(q.heap, slot)
+	q.siftUp(len(q.heap) - 1)
 }
 
 func (q *eventQueue) siftUp(i int) {

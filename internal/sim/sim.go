@@ -21,6 +21,10 @@
 //   - Env.Spin runs a process's wait loop in event context: a loop
 //     whose steps need no stack costs one event per wait, not two
 //     coroutine switches.
+//   - A Spin step may declare that the steps after its wait are an
+//     idle stretch (Env.DeclareIdle); the event loop then does their
+//     accounting at once wherever nothing else can happen first, and
+//     pops none of them (idle.go).
 //   - Events scheduled for the same instant fire in scheduling order
 //     (a monotone sequence number breaks ties), never concurrently.
 package sim
@@ -72,6 +76,14 @@ type Env struct {
 	nlive   int     // procs started and not yet finished
 	running bool
 	rec     *obs.Recorder
+	// Idle stretches (idle.go): stepping is the proc whose Spin step
+	// is running, idlers the procs that ever declared a stretch (an
+	// event's idle tag indexes it), nidle how many events carry a
+	// tag, and runs a skip's scratch.
+	stepping *Proc
+	idlers   []*Proc
+	nidle    int
+	runs     []idleRun
 }
 
 // OnNewEnv, when non-nil, is invoked on every environment NewEnv
@@ -155,6 +167,12 @@ type Proc struct {
 	// runs its next step after a wait that switches.
 	step   func() (Time, bool)
 	spinFn func()
+	// stretch is the idle stretch the pending step declared, live
+	// while declared; idleTag is this proc's tag in its events, once
+	// it has declared one (Env.idlers).
+	stretch  IdleStretch
+	declared bool
+	idleTag  int32
 	// timeoutEpoch is the episode the pending WaitTimeout expiry may
 	// end. A proc has at most one expiry live: it is canceled when a
 	// broadcast ends the episode first.
@@ -227,8 +245,9 @@ func (p *Proc) Wait(d Time) {
 	// seq: if nothing queued is due by now+d and the running loop
 	// reaches now+d, the wake is its next pop, so skip the switch and
 	// just move the clock. An event due at now+d wins the tie.
+	// Idle steps alone due by then are accounted, not popped (skipTo).
 	e := p.env
-	if d <= e.limit-e.now && (e.events.empty() || e.events.peekAt() > e.now+d) {
+	if d <= e.limit-e.now && (e.events.empty() || e.events.peekAt() > e.now+d || e.nidle > 0 && e.skipTo(e.now+d)) {
 		e.now += d
 		return
 	}
@@ -264,23 +283,29 @@ func (e *Env) Spin(step func() (Time, bool)) {
 // spinSteps runs p's Spin steps from now until one is done (true) or
 // one's wait must switch (false), in which case spinFn is scheduled
 // where Wait would have scheduled the wake. The switch-free test is
-// Wait's, restated here so that Wait keeps its own inline.
+// Wait's, restated here so that Wait keeps its own inline. A step that
+// declared an idle stretch always schedules, with its tag.
 func (p *Proc) spinSteps() bool {
 	e := p.env
 	for {
+		e.stepping = p
 		d, more := p.step()
+		e.stepping = nil
 		if !more {
-			p.step = nil
+			p.step, p.declared = nil, false
 			return true
 		}
 		if d < 0 {
 			badDelay(p.name, d)
 		}
-		if d <= e.limit-e.now && (e.events.empty() || e.events.peekAt() > e.now+d) {
+		if !p.declared && d <= e.limit-e.now && (e.events.empty() || e.events.peekAt() > e.now+d) {
 			e.now += d
 			continue
 		}
-		e.Schedule(d, p.spinFn)
+		h := e.Schedule(d, p.spinFn)
+		if p.declared {
+			e.tagIdle(p, h.slot)
+		}
 		return false
 	}
 }
@@ -424,6 +449,11 @@ func (e *Env) Run(until Time) error {
 	defer func() { e.running = false }()
 	e.limit = until
 	for !e.events.empty() {
+		// Skip idle steps first: the window ends at until, and a moved
+		// step may land past it.
+		if e.nidle > 0 && e.events.arena[e.events.heap[0]].idle != 0 {
+			e.skipIdle(until)
+		}
 		if e.events.peekAt() > until {
 			if e.now < until {
 				e.now = until
