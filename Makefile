@@ -40,6 +40,7 @@ bench:
 # Short continuation runs over the checked-in seed corpora.
 fuzz:
 	go test ./internal/sim -run=^$$ -fuzz=FuzzSpinMatchesWait -fuzztime=30s
+	go test ./internal/sim -run=^$$ -fuzz=FuzzIdleMatchesSteps -fuzztime=30s
 	go test ./internal/mem -run=^$$ -fuzz=FuzzAllocMatchesReference -fuzztime=30s
 	go test ./internal/core -run=^$$ -fuzz=FuzzRing -fuzztime=30s
 	go test ./internal/core -run=^$$ -fuzz=FuzzFaultSchedule -fuzztime=30s

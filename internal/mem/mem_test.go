@@ -92,6 +92,34 @@ func TestFrameZeroedOnAlloc(t *testing.T) {
 	}
 }
 
+// TestTakeClearsOnlyReusedFrames: allocation clears a frame that was
+// handed out before, and trusts one that never was to read zero as its
+// chunk was made. Bytes written into a never-allocated frame (which
+// nothing but this test does) therefore survive its first allocation,
+// while a dirtied, freed and reallocated frame reads zero.
+func TestTakeClearsOnlyReusedFrames(t *testing.T) {
+	pm := NewPhysMem(chunkFrames * PageSize)
+	dirty := bytes.Repeat([]byte("dirty"), PageSize/5)
+	copy(pm.FrameBytes(1), dirty)
+	fs, err := pm.AllocFrames(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(fs) != "[0 1]" {
+		t.Fatalf("allocated %v, want [0 1]", fs)
+	}
+	if !bytes.Equal(pm.FrameBytes(1)[:len(dirty)], dirty) {
+		t.Error("first allocation of frame 1 cleared it")
+	}
+	pm.DecRef(1)
+	if f, err := pm.AllocFrame(); err != nil || f != 1 {
+		t.Fatalf("reallocated %v, %v; want frame 1", f, err)
+	}
+	if !bytes.Equal(pm.FrameBytes(1), make([]byte, PageSize)) {
+		t.Error("reallocated frame 1 not cleared")
+	}
+}
+
 // TestNewPhysMemIsLazy: building a default-size machine's RAM costs
 // bookkeeping, not the RAM itself.
 func TestNewPhysMemIsLazy(t *testing.T) {

@@ -48,7 +48,11 @@ type PhysMem struct {
 	chunks  [][]byte // nil until first touch
 	refcnt  []int32  // frames shared by CoW have refcnt > 1
 	free    []bool
-	nfree   int
+	// used marks frames handed out at least once. A frame never handed
+	// out still reads zero, as its chunk was made, so take clears only
+	// used ones, which hold their last owner's bytes.
+	used  []bool
+	nfree int
 	// nnodes is the number of NUMA nodes, each owning perNode frames
 	// (the last node also owns the remainder): one until
 	// ConfigureNodes partitions the frame space (numa.go).
@@ -73,6 +77,7 @@ func NewPhysMem(size int64) *PhysMem {
 		chunks:  make([][]byte, (n+chunkFrames-1)/chunkFrames),
 		refcnt:  make([]int32, n),
 		free:    make([]bool, n),
+		used:    make([]bool, n),
 		nfree:   n,
 		nnodes:  1,
 		perNode: n,
@@ -157,13 +162,15 @@ func (pm *PhysMem) take(f Frame) Frame {
 		}
 		pm.low[node] = m
 	}
-	// Zero the frame (demand-zero semantics). Going through FrameBytes
-	// also materializes its chunk, so copy paths that must not allocate
-	// never take the first touch of an allocated frame.
+	// Demand-zero semantics: a reused frame is cleared, a fresh one is
+	// zero already. Going through FrameBytes also materializes its
+	// chunk, so copy paths that must not allocate never take the first
+	// touch of an allocated frame.
 	b := pm.FrameBytes(f)
-	for i := range b {
-		b[i] = 0
+	if pm.used[f] {
+		clear(b)
 	}
+	pm.used[f] = true
 	return f
 }
 
