@@ -11,7 +11,7 @@ import "math/bits"
 // past its steps that precede the first other event, Run's until and
 // every stretch's first uncovered step (skipIdle). And a Proc.Wait whose
 // end no other event precedes skips the stretches' steps due by then
-// and continues without a switch (skipTo).
+// and continues without a switch (skipWait).
 //
 // Exactness rests on event order. Steps pop in (at, seq) order, and a
 // step's next event takes the next seq when the step runs, so:
@@ -157,8 +157,7 @@ func precedes(a *idleRun, j int64, b *idleRun, l int64) bool {
 
 // lift takes every valid stretch whose pending event is at the heap
 // top and due by limit off the heap, into e.runs. A stretch whose OK
-// fails, or that covers no step, is dropped where it stands, and its
-// event stays as any other.
+// fails is dropped where it stands, and its event stays as any other.
 func (e *Env) lift(limit Time) {
 	q := &e.events
 	for !q.empty() {
@@ -295,34 +294,32 @@ func (e *Env) skipIdle(until Time) {
 	e.now = max(e.now, e.settle())
 }
 
-// skipTo is Proc.Wait's skip site, for a wait ending at end whose wake
-// would take the next seq: if every event due by end is a valid idle
-// step, it does their accounting and reports true, and the wait just
-// moves the clock. The wake would pop after every pending event due at
-// end and before every later step scheduled for end, so those are
-// accounted first and these are not. Otherwise it changes nothing.
-func (e *Env) skipTo(end Time) bool {
-	if e.events.arena[e.events.heap[0]].idle == 0 {
+// skipWait is Proc.Wait's skip site, for a wait of d whose wake would
+// take the next seq: if the running loop reaches its end and every
+// event due by then is a valid idle step, it does their accounting,
+// moves the clock to the end and reports true. The wake would pop
+// after every pending event due at the end and before every later step
+// scheduled for it, so those are accounted first and these are not.
+// Otherwise it changes nothing.
+func (e *Env) skipWait(d Time) bool {
+	if d > e.limit-e.now || e.events.arena[e.events.heap[0]].idle == 0 {
 		return false
 	}
+	end := e.now + d
 	e.lift(end)
 	ok := e.events.empty() || e.events.peekAt() > end
 	for i := range e.runs {
-		r := &e.runs[i]
-		if r.step(r.c+1) < end {
-			ok = false // an uncovered step runs before the wake
-		}
-		if ok {
+		ok = ok && e.runs[i].step(e.runs[i].c+1) >= end // no uncovered step before the wake
+	}
+	if ok {
+		for i := range e.runs {
+			r := &e.runs[i]
 			r.k = max(r.count(end, true), 1) // a pending event at end pops first
 		}
 	}
-	if !ok {
-		for i := range e.runs {
-			e.runs[i].k = 0
-		}
-	}
-	now := e.now
 	e.settle()
-	e.now = now
+	if ok {
+		e.now = end
+	}
 	return ok
 }

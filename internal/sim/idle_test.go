@@ -72,7 +72,6 @@ func decodeIdleWorld(data []byte) idleWorld {
 // stretch its last real step opened.
 type idleLoop struct {
 	id      int
-	script  idleSpinner
 	waits   [2]Time
 	phase   int  // the next wait is waits[phase]
 	last    Time // the wait that ends at the next step
@@ -121,7 +120,7 @@ func (w idleWorld) run(declare bool) string {
 	}
 	sig := NewSignal("s")
 	for si, sc := range w.spinners {
-		l := &idleLoop{id: si, script: sc, waits: sc.waits, valid: true}
+		l := &idleLoop{id: si, waits: sc.waits, valid: true}
 		l.ok = func() bool { return l.valid }
 		l.skip = func(k int64) {
 			for ; k > 0; k-- {

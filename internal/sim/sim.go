@@ -245,10 +245,14 @@ func (p *Proc) Wait(d Time) {
 	// seq: if nothing queued is due by now+d and the running loop
 	// reaches now+d, the wake is its next pop, so skip the switch and
 	// just move the clock. An event due at now+d wins the tie.
-	// Idle steps alone due by then are accounted, not popped (skipTo).
 	e := p.env
-	if d <= e.limit-e.now && (e.events.empty() || e.events.peekAt() > e.now+d || e.nidle > 0 && e.skipTo(e.now+d)) {
+	if d <= e.limit-e.now && (e.events.empty() || e.events.peekAt() > e.now+d) {
 		e.now += d
+		return
+	}
+	// Or every event due by then is an idle step: account for them
+	// and move the clock all the same (skipWait).
+	if e.nidle > 0 && e.skipWait(d) {
 		return
 	}
 	e.Schedule(d, p.handoffFn)
