@@ -156,42 +156,14 @@ func chaosFleetRun(env *sim.Env, cc chaosFleetConfig) *ChaosFleetResult {
 	// Clients alternate between a production group and a low-shares
 	// batch group — the brownout controller's shed order is by shares,
 	// so the batch half is the sacrificial class.
-	maxSize := units.Bytes(0)
-	for _, s := range cc.arrival.Sizes {
-		if s > maxSize {
-			maxSize = s
-		}
-	}
 	prod := svc.Group("prod", 100)
 	batch := svc.Group("batch", 10)
-	type chaosClient struct {
-		c        *core.Client
-		src, dst mem.VA
-		as       *mem.AddrSpace
-		core     int
-	}
-	clients := make([]chaosClient, cc.arrival.Clients)
-	for i := range clients {
-		node := i % nn
-		as := mem.NewAddrSpace(pm)
-		as.SetHomeNode(node)
-		g := prod
+	clients := newFleetClients(svc, pm, tp, "chaos", cc.arrival, func(i int) *core.CGroupAccount {
 		if i%2 == 1 {
-			g = batch
+			return batch
 		}
-		c := svc.NewClientOn(fmt.Sprintf("chaos-%d", i), as, as, g, node)
-		c.EnableShards(tp.CoresPerNode())
-		src := as.MMap(maxSize, mem.PermRead|mem.PermWrite, "s")
-		dst := as.MMap(maxSize, mem.PermRead|mem.PermWrite, "d")
-		if _, err := as.Populate(src, maxSize, true); err != nil {
-			panic(err)
-		}
-		if _, err := as.Populate(dst, maxSize, true); err != nil {
-			panic(err)
-		}
-		clients[i] = chaosClient{c: c, src: src, dst: dst, as: as,
-			core: (i / nn) % tp.CoresPerNode()}
-	}
+		return prod
+	})
 
 	arrivals := Schedule(cc.arrival, cc.arrivals)
 	compressWindow(arrivals, cc.overloadFrom, cc.overloadTo, cc.overloadFactor)

@@ -1,11 +1,46 @@
 package bench
 
 import (
+	"os"
+	"regexp"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
 	"copier/internal/units"
 )
+
+// The full-scale command is written out twice, in EXPERIMENTS.md's
+// "Reproducing" section and in scripts/check.sh's last stage, and
+// must run every registered experiment but fig12b, whose 16-thread
+// proxy point never completes at -full. An experiment added to or
+// deleted from the registry but not from both lists would otherwise
+// leave the documented command, the gate, or both, without a word.
+func TestFullScaleListsNameEveryExperiment(t *testing.T) {
+	var want []string
+	for _, e := range Experiments() {
+		if e.ID != "fig12b" {
+			want = append(want, e.ID)
+		}
+	}
+	fullRun := regexp.MustCompile(`copierbench -full[\s\\]+-run ([\w,]+)`)
+	for _, path := range []string{"../../EXPERIMENTS.md", "../../scripts/check.sh"} {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := fullRun.FindAllSubmatch(b, -1)
+		if len(m) != 1 {
+			t.Fatalf("%s: %d `copierbench -full -run` commands, want 1", path, len(m))
+		}
+		got := strings.Split(string(m[0][1]), ",")
+		sort.Strings(got)
+		if !slices.Equal(got, want) {
+			t.Errorf("%s runs %v at -full, want every experiment but fig12b: %v", path, got, want)
+		}
+	}
+}
 
 // Simulated experiments run end to end at Quick scale. The heavier
 // sweeps (fig9/fig10/fig11/fig12/fig14) are exercised by

@@ -11,7 +11,6 @@ import (
 	"fmt"
 
 	"copier/internal/core"
-	"copier/internal/cycles"
 	"copier/internal/mem"
 	"copier/internal/sim"
 	"copier/internal/topo"
@@ -62,45 +61,7 @@ func numaThroughput(size units.Bytes, tasks, srcNode int, tp *topo.Topology) flo
 	}
 	src := place(srcNode, "s")
 	dst := place(0, "d")
-
-	var start, end sim.Time
-	done := 0
-	allDone := sim.NewSignal("bench-done")
-	env.Go("driver", func(p *sim.Proc) {
-		ctx := benchCtx{p}
-		start = p.Now()
-		for i := 0; i < tasks; i++ {
-			task := &core.Task{Src: src, Dst: dst, SrcAS: as, DstAS: as, Len: size,
-				Handler: &core.Handler{Kernel: true, Fn: func() {
-					done++
-					if done == tasks {
-						end = p.Env().Now()
-						allDone.Broadcast(p.Env())
-					}
-				}}}
-			ctx.Exec(cycles.SubmitTask)
-			for !client.SubmitCopy(task, false) {
-				ctx.Exec(cycles.CsyncPoll)
-			}
-		}
-		if done < tasks {
-			allDone.Wait(p)
-		}
-		svc.Stop()
-	})
-	for slot := 0; slot < tp.Nodes(); slot++ {
-		slot := slot
-		env.Go("copierd", func(p *sim.Proc) { svc.ThreadMain(benchCtx{p}, slot) })
-	}
-	if err := env.Run(10_000_000_000); err != nil {
-		if _, ok := err.(*sim.DeadlockError); !ok {
-			panic(err)
-		}
-	}
-	if end <= start {
-		return 0
-	}
-	return float64(size) * float64(tasks) / float64(end-start)
+	return closedLoopThroughput(env, svc, client, size, tasks, func(int) (mem.VA, mem.VA) { return src, dst })
 }
 
 func runFig9NUMA(s Scale) []*Table {

@@ -50,6 +50,48 @@ type FleetResult struct {
 	PerNode []*obs.Histogram
 }
 
+// fleetClient is one open-loop submitter of the fleet experiments.
+type fleetClient struct {
+	c        *core.Client
+	src, dst mem.VA
+	as       *mem.AddrSpace
+	core     int // submitting core within the client's node
+}
+
+// newFleetClients registers ac.Clients clients named prefix-<i>,
+// spread round-robin across tp's nodes. Each is homed on its node's
+// frames with one submit ring per core of the node, and owns a
+// populated source/destination pair as large as ac's largest size;
+// group(i) is client i's cgroup (nil: the default group).
+func newFleetClients(svc *core.Service, pm *mem.PhysMem, tp *topo.Topology, prefix string, ac ArrivalConfig, group func(i int) *core.CGroupAccount) []fleetClient {
+	nn := tp.Nodes()
+	maxSize := units.Bytes(0)
+	for _, s := range ac.Sizes {
+		if s > maxSize {
+			maxSize = s
+		}
+	}
+	clients := make([]fleetClient, ac.Clients)
+	for i := range clients {
+		node := i % nn
+		as := mem.NewAddrSpace(pm)
+		as.SetHomeNode(node)
+		c := svc.NewClientOn(fmt.Sprintf("%s-%d", prefix, i), as, as, group(i), node)
+		c.EnableShards(tp.CoresPerNode())
+		src := as.MMap(maxSize, mem.PermRead|mem.PermWrite, "s")
+		dst := as.MMap(maxSize, mem.PermRead|mem.PermWrite, "d")
+		if _, err := as.Populate(src, maxSize, true); err != nil {
+			panic(err)
+		}
+		if _, err := as.Populate(dst, maxSize, true); err != nil {
+			panic(err)
+		}
+		clients[i] = fleetClient{c: c, src: src, dst: dst, as: as,
+			core: (i / nn) % tp.CoresPerNode()}
+	}
+	return clients
+}
+
 // fleetRun executes one open-loop run: the whole schedule is drawn
 // up front, the driver submits on it regardless of service state, and
 // every completion is timed against its scheduled arrival. The caller
@@ -66,38 +108,7 @@ func fleetRun(env *sim.Env, fc fleetConfig) *FleetResult {
 	svcCfg.Topo = tp
 	svc := core.NewService(env, pm, svcCfg)
 
-	// Clients spread round-robin across nodes, each homed on its
-	// node's frames with a per-core shard array for submission.
-	maxSize := units.Bytes(0)
-	for _, s := range fc.arrival.Sizes {
-		if s > maxSize {
-			maxSize = s
-		}
-	}
-	type fleetClient struct {
-		c        *core.Client
-		src, dst mem.VA
-		as       *mem.AddrSpace
-		core     int // submitting core within the client's node
-	}
-	clients := make([]fleetClient, fc.arrival.Clients)
-	for i := range clients {
-		node := i % nn
-		as := mem.NewAddrSpace(pm)
-		as.SetHomeNode(node)
-		c := svc.NewClientOn(fmt.Sprintf("fleet-%d", i), as, as, nil, node)
-		c.EnableShards(tp.CoresPerNode())
-		src := as.MMap(maxSize, mem.PermRead|mem.PermWrite, "s")
-		dst := as.MMap(maxSize, mem.PermRead|mem.PermWrite, "d")
-		if _, err := as.Populate(src, maxSize, true); err != nil {
-			panic(err)
-		}
-		if _, err := as.Populate(dst, maxSize, true); err != nil {
-			panic(err)
-		}
-		clients[i] = fleetClient{c: c, src: src, dst: dst, as: as,
-			core: (i / nn) % tp.CoresPerNode()}
-	}
+	clients := newFleetClients(svc, pm, tp, "fleet", fc.arrival, func(int) *core.CGroupAccount { return nil })
 
 	// Draw the schedule and build every task before the clock starts:
 	// the submit loop itself must not allocate (§6 methodology — the

@@ -196,22 +196,34 @@ func copierThroughput(env *sim.Env, size units.Bytes, tasks int, repetition floa
 		s, d := mkpair()
 		pool[i] = pair{s, d}
 	}
-	hot := pool[0]
+	cold := 1
+	return closedLoopThroughput(env, svc, client, size, tasks, func(i int) (mem.VA, mem.VA) {
+		pr := pool[0]
+		if repetition == 0 || float64(i%4)/4.0 >= repetition {
+			pr = pool[cold%nPairs]
+			cold++
+		}
+		return pr.src, pr.dst
+	})
+}
 
+// closedLoopThroughput is the closed-loop driver of fig9 and
+// fig9numa: it submits tasks copies of size bytes back to back
+// through client, copy i between the buffers pair(i) returns (called
+// once per copy, in order), with one service thread per node, and
+// returns the aggregate throughput in bytes per cycle from the first
+// submission to the last completion.
+func closedLoopThroughput(env *sim.Env, svc *core.Service, client *core.Client, size units.Bytes, tasks int, pair func(i int) (src, dst mem.VA)) float64 {
+	as := client.UAS
 	var start, end sim.Time
 	done := 0
 	allDone := sim.NewSignal("bench-done")
 	env.Go("driver", func(p *sim.Proc) {
 		ctx := benchCtx{p}
 		start = p.Now()
-		cold := 1
 		for i := 0; i < tasks; i++ {
-			pr := hot
-			if repetition == 0 || float64(i%4)/4.0 >= repetition {
-				pr = pool[cold%nPairs]
-				cold++
-			}
-			task := &core.Task{Src: pr.src, Dst: pr.dst, SrcAS: as, DstAS: as, Len: size,
+			src, dst := pair(i)
+			task := &core.Task{Src: src, Dst: dst, SrcAS: as, DstAS: as, Len: size,
 				Handler: &core.Handler{Kernel: true, Fn: func() {
 					done++
 					if done == tasks {
@@ -230,7 +242,9 @@ func copierThroughput(env *sim.Env, size units.Bytes, tasks int, repetition floa
 		}
 		svc.Stop()
 	})
-	env.Go("copierd", func(p *sim.Proc) { svc.ThreadMain(benchCtx{p}, 0) })
+	for slot := range svc.DMAs() {
+		env.Go("copierd", func(p *sim.Proc) { svc.ThreadMain(benchCtx{p}, slot) })
+	}
 	if err := env.Run(10_000_000_000); err != nil {
 		if _, ok := err.(*sim.DeadlockError); !ok {
 			panic(err)

@@ -122,9 +122,9 @@ type pollingCtx struct{ benchCtx }
 func (pollingCtx) BlockTimeout(*sim.Signal, sim.Time) bool { return true }
 
 // idleSweeps benchmarks idle polling: a service sharded over nodes
-// NUMA nodes (the flat service for one), one polling thread per node,
-// and 24 two-core sharded clients with nothing queued, the state a
-// fleet thread spends most sweeps in. The threads' NAPI sleeps end at
+// NUMA nodes, one polling thread per node, and 24 two-core sharded
+// clients with nothing queued, the state a fleet thread spends most
+// sweeps in. The threads' NAPI sleeps end at
 // once, so they busy-poll for the whole run; one op is one 100-cycle
 // sweep period. Every quiet sweep declares an idle stretch, so the
 // event loop skips the threads' sweeps in bulk up to each NAPI budget
@@ -133,13 +133,11 @@ func (pollingCtx) BlockTimeout(*sim.Signal, sim.Time) bool { return true }
 func idleSweeps(nodes int) func(b *testing.B) {
 	return func(b *testing.B) {
 		env := sim.NewEnv()
-		pm := mem.NewPhysMem(int64(nodes) << 20)
 		cfg := core.DefaultConfig()
-		if nodes > 1 {
-			cfg.Topo = topo.NUMA(nodes, 2, 1<<20)
-			if err := pm.ConfigureNodes(nodes); err != nil {
-				b.Fatal(err)
-			}
+		cfg.Topo = topo.NUMA(nodes, 2, 1<<20)
+		pm := mem.NewPhysMem(cfg.Topo.TotalMem())
+		if err := pm.ConfigureNodes(nodes); err != nil {
+			b.Fatal(err)
 		}
 		svc := core.NewService(env, pm, cfg)
 		as := mem.NewAddrSpace(pm)

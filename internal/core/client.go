@@ -51,11 +51,11 @@ type Client struct {
 
 	U, K *QueueSet
 
-	// Shards, when enabled (EnableShards), adds a per-core submit
-	// ring array in front of the legacy paired queue sets — the CSH
-	// layout for many-client fleets where submitters on different
-	// cores must not contend on one ring (shard.go).
-	Shards *QueueArray
+	// uRings are the client's per-core user submit rings (shard.go).
+	// Ring 0 is the user Copy Queue U.Copy, the one barriers
+	// snapshot; EnableShards appends rings 1.., which carry no
+	// barriers and drain after it in core order.
+	uRings []*Ring
 
 	// Group is the cgroup the client is accounted to.
 	Group *CGroupAccount
@@ -72,8 +72,8 @@ type Client struct {
 	pending []*Task
 	// nextOrder stamps admission order across both queue sets.
 	nextOrder uint64
-	// uAdmitted counts user Copy-Queue tasks admitted, compared
-	// against barrier positions.
+	// uAdmitted counts user Copy-Queue (ring 0) tasks admitted,
+	// compared against barrier positions.
 	uAdmitted uint64
 	// uCap, when uCapSet, caps user admissions while a syscall window
 	// is open (trap barrier seen, return barrier not yet).
@@ -90,8 +90,8 @@ type Client struct {
 	backlogBytes int64
 
 	// popBuf / uPopBuf are the PopN scratches for the batched admit
-	// drain. The user queue gets its own buffer because barrier
-	// handling drains it from inside an iteration over popBuf.
+	// drain. The user rings get their own buffer because barrier
+	// handling drains ring 0 from inside an iteration over popBuf.
 	popBuf  [drainBatch]*Task
 	uPopBuf [drainBatch]*Task
 
@@ -135,10 +135,30 @@ func popCost(n int) sim.Time {
 	return sim.Time(cycles.TaskPop + (n-1)*cycles.TaskPopBatch)
 }
 
+// queues returns the user or kernel queue set.
+func (c *Client) queues(kmode bool) *QueueSet {
+	if kmode {
+		return c.K
+	}
+	return c.U
+}
+
 // SubmitCopy enqueues a Copy Task on the client's user or kernel Copy
-// Queue. The caller charges submission cycles (libcopier does this).
-// Returns false if the ring is full.
+// Queue, attaching a Descriptor if the task has none. The caller
+// charges submission cycles (libcopier does this). Returns false if
+// the ring is full.
 func (c *Client) SubmitCopy(t *Task, kmode bool) bool {
+	if t.Desc == nil {
+		t.Desc = NewDescriptor(t.Dst, t.Len, t.SegSize)
+	}
+	return c.pushCopy(c.queues(kmode).Copy, t, kmode)
+}
+
+// pushCopy stamps a Copy Task for this client and pushes it onto r,
+// returning false if r is full.
+//
+//copier:noalloc
+func (c *Client) pushCopy(r *Ring, t *Task, kmode bool) bool {
 	t.Client = c
 	t.KMode = kmode
 	t.Kind = KindCopy
@@ -149,14 +169,7 @@ func (c *Client) SubmitCopy(t *Task, kmode bool) bool {
 	if t.SegSize <= 0 {
 		t.SegSize = DefaultSegSize
 	}
-	if t.Desc == nil {
-		t.Desc = NewDescriptor(t.Dst, t.Len, t.SegSize)
-	}
-	q := c.U
-	if kmode {
-		q = c.K
-	}
-	if !q.Copy.Push(t) {
+	if !r.Push(t) {
 		return false
 	}
 	c.svc.env.Recorder().At(obs.EvTaskSubmit, int64(c.svc.now()), c.Name, int64(t.ID), int64(t.Len))
@@ -186,44 +199,28 @@ func (c *Client) SubmitBarrier(ret bool) {
 // SubmitSync enqueues a Sync Task (task promotion) for [addr,
 // addr+n) on the chosen queue set.
 func (c *Client) SubmitSync(addr mem.VA, n units.Bytes, kmode bool) bool {
-	t := &Task{Kind: KindSync, Client: c, KMode: kmode, Addr: addr, SyncLen: n}
-	q := c.U
-	if kmode {
-		q = c.K
-	}
-	if !q.Sync.Push(t) {
-		return false
-	}
-	c.svc.doorbell(c)
-	return true
+	return c.pushSync(&Task{Kind: KindSync, KMode: kmode, Addr: addr, SyncLen: n})
 }
 
 // SubmitAbort enqueues an abort Sync Task explicitly discarding
 // still-queued Copy Tasks whose destination intersects [addr, addr+n)
 // (§4.4).
 func (c *Client) SubmitAbort(addr mem.VA, n units.Bytes, kmode bool) bool {
-	t := &Task{Kind: KindAbort, Client: c, KMode: kmode, Addr: addr, SyncLen: n}
-	q := c.U
-	if kmode {
-		q = c.K
-	}
-	if !q.Sync.Push(t) {
-		return false
-	}
-	c.svc.doorbell(c)
-	return true
+	return c.pushSync(&Task{Kind: KindAbort, KMode: kmode, Addr: addr, SyncLen: n})
 }
 
 // SubmitAbortDesc enqueues an abort targeting exactly the pending
 // Copy Task bound to desc, regardless of later tasks reusing the same
 // destination buffer.
 func (c *Client) SubmitAbortDesc(desc *Descriptor, kmode bool) bool {
-	t := &Task{Kind: KindAbort, Client: c, KMode: kmode, AbortDesc: desc}
-	q := c.U
-	if kmode {
-		q = c.K
-	}
-	if !q.Sync.Push(t) {
+	return c.pushSync(&Task{Kind: KindAbort, KMode: kmode, AbortDesc: desc})
+}
+
+// pushSync pushes a Sync or abort task onto the Sync Queue of its
+// KMode's queue set, returning false if the ring is full.
+func (c *Client) pushSync(t *Task) bool {
+	t.Client = c
+	if !c.queues(t.KMode).Sync.Push(t) {
 		return false
 	}
 	c.svc.doorbell(c)
@@ -282,34 +279,19 @@ func (c *Client) admit(ctx Ctx, svc *Service) {
 				c.admitTask(t, svc)
 			}
 		}
-		// User queue up to the cap.
-		for {
-			lim := drainBatch
-			if c.uCapSet {
-				if c.uAdmitted >= c.uCap {
-					break
-				}
-				if room := c.uCap - c.uAdmitted; room < uint64(lim) {
-					lim = int(room)
-				}
-			}
-			n := c.U.Copy.PopN(c.uPopBuf[:lim])
-			if n == 0 {
-				break
-			}
-			ctx.Exec(popCost(n))
-			progressed = true
-			c.uAdmitted += uint64(n)
-			for i := 0; i < n; i++ {
-				c.admitTask(c.uPopBuf[i], svc)
-				c.uPopBuf[i] = nil
-			}
+		// User rings: ring 0 up to the cap, then rings 1.. in core
+		// order, uncapped: they carry no barriers (shard.go).
+		limit := noCap
+		if c.uCapSet {
+			limit = c.uCap
 		}
-		// Per-core shard rings last: they carry no barriers, so their
-		// tasks order after anything the paired queues admitted this
-		// pass (shard.go).
-		if c.Shards != nil && c.admitShards(ctx, svc) {
+		if c.admitUserUpTo(ctx, limit) {
 			progressed = true
+		}
+		for _, r := range c.uRings[1:] {
+			if c.admitRing(ctx, r, noCap) > 0 {
+				progressed = true
+			}
 		}
 		if !progressed {
 			return
@@ -317,25 +299,44 @@ func (c *Client) admit(ctx Ctx, svc *Service) {
 	}
 }
 
-// admitUserUpTo admits user tasks while fewer than pos have been
-// admitted and the ring has published tasks.
-func (c *Client) admitUserUpTo(ctx Ctx, pos uint64) {
-	for c.uAdmitted < pos {
+// noCap is the admission limit of an uncapped user ring.
+const noCap = ^uint64(0)
+
+// admitUserUpTo admits ring-0 tasks while fewer than pos have been
+// admitted and the ring has published tasks, reporting whether it
+// admitted any.
+func (c *Client) admitUserUpTo(ctx Ctx, pos uint64) bool {
+	// uAdmitted may already be past pos: ring 0 can drain beyond a
+	// barrier's snapshot before the barrier is popped.
+	if c.uAdmitted >= pos {
+		return false
+	}
+	n := c.admitRing(ctx, c.uRings[0], pos-c.uAdmitted)
+	c.uAdmitted += n
+	return n > 0
+}
+
+// admitRing admits up to limit published tasks from user ring r into
+// the pending list in PopN batches and returns how many it admitted.
+func (c *Client) admitRing(ctx Ctx, r *Ring, limit uint64) uint64 {
+	var admitted uint64
+	for admitted < limit {
 		lim := drainBatch
-		if room := pos - c.uAdmitted; room < uint64(lim) {
+		if room := limit - admitted; room < uint64(lim) {
 			lim = int(room)
 		}
-		n := c.U.Copy.PopN(c.uPopBuf[:lim])
+		n := r.PopN(c.uPopBuf[:lim])
 		if n == 0 {
-			return
+			break
 		}
 		ctx.Exec(popCost(n))
-		c.uAdmitted += uint64(n)
+		admitted += uint64(n)
 		for i := 0; i < n; i++ {
 			c.admitTask(c.uPopBuf[i], c.svc)
 			c.uPopBuf[i] = nil
 		}
 	}
+	return admitted
 }
 
 func (c *Client) admitTask(t *Task, svc *Service) {

@@ -233,7 +233,17 @@ func TestEngineSteeringSpillsUnderLoad(t *testing.T) {
 	}
 }
 
-// Per-core shard rings: tasks submitted via SubmitCopyOn are admitted
+// queuedOnRings sums the tasks queued on every core's user submit
+// ring.
+func queuedOnRings(c *Client) int {
+	n := 0
+	for _, r := range c.uRings {
+		n += r.Len()
+	}
+	return n
+}
+
+// Per-core submit rings: tasks submitted via SubmitCopyOn are admitted
 // in ring order and execute normally.
 func TestQueueArraySubmitAndExecute(t *testing.T) {
 	h := newNUMAHarness(t, 2, DefaultConfig())
@@ -251,8 +261,8 @@ func TestQueueArraySubmitAndExecute(t *testing.T) {
 			t.Fatalf("shard submit %d failed", i)
 		}
 	}
-	if got := c.Shards.Len(); got != 4 {
-		t.Fatalf("Shards.Len = %d, want 4", got)
+	if got := queuedOnRings(c); got != 4 {
+		t.Fatalf("%d tasks queued on the submit rings, want 4", got)
 	}
 	h.start()
 	h.run(t, 50_000_000)
@@ -267,7 +277,7 @@ func TestQueueArraySubmitAndExecute(t *testing.T) {
 	}
 }
 
-// A full shard ring sheds: SubmitCopyOn returns false and the open-
+// A full submit ring sheds: SubmitCopyOn returns false and the open-
 // loop caller moves on.
 func TestQueueArrayShedsWhenFull(t *testing.T) {
 	cfg := DefaultConfig()
@@ -291,7 +301,8 @@ func TestQueueArrayShedsWhenFull(t *testing.T) {
 	}
 }
 
-// Teardown reclaims queued shard tasks of a dead client.
+// Teardown reclaims the tasks queued on every core's submit ring of a
+// dead client.
 func TestTeardownDrainsShardRings(t *testing.T) {
 	h := newNUMAHarness(t, 2, DefaultConfig())
 	c := h.clients[0]
@@ -312,16 +323,16 @@ func TestTeardownDrainsShardRings(t *testing.T) {
 	if !c.Closed() {
 		t.Fatal("client not closed by teardown")
 	}
-	if c.Shards.Len() != 0 {
-		t.Fatalf("%d tasks leaked in shard rings", c.Shards.Len())
+	if n := queuedOnRings(c); n != 0 {
+		t.Fatalf("%d tasks leaked in the submit rings", n)
 	}
 	if h.svc.Stats.ReclaimedTasks == 0 {
 		t.Error("teardown reclaimed nothing")
 	}
 }
 
-// Alloc pin: the per-core submit path must not allocate (satellite:
-// //copier:noalloc discipline extends to the queue arrays).
+// Alloc pin: the per-core submit path must not allocate (the
+// //copier:noalloc discipline extends to the per-core rings).
 func TestSubmitCopyOnAllocFree(t *testing.T) {
 	env := sim.NewEnv()
 	pm := mem.NewPhysMem(4 << 20)
@@ -343,5 +354,36 @@ func TestSubmitCopyOnAllocFree(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Fatalf("SubmitCopyOn allocates %.1f objects per call, want 0", avg)
+	}
+}
+
+// Core 0's ring is the user Copy Queue, so SubmitCopyOn(0, …) and
+// SubmitCopy(…, false) share one FIFO: of two copies onto one
+// destination, the one submitted last lands last.
+func TestCoreZeroSubmissionsKeepOrder(t *testing.T) {
+	h := newNUMAHarness(t, 2, DefaultConfig())
+	c := h.clients[0]
+	c.EnableShards(2)
+	const n = 8 << 10
+	dst := h.alloc(t, 0, n, 0)
+	mk := func(fill byte) *Task {
+		task := &Task{Src: h.alloc(t, 0, n, fill), Dst: dst, SrcAS: h.spaces[0], DstAS: h.spaces[0], Len: n}
+		task.Desc = NewDescriptor(task.Dst, task.Len, DefaultSegSize)
+		return task
+	}
+	a, b := mk(0xaa), mk(0xbb)
+	if !c.SubmitCopyOn(0, a) {
+		t.Fatal("SubmitCopyOn(0, A) refused")
+	}
+	if !c.SubmitCopy(b, false) {
+		t.Fatal("SubmitCopy(B) refused")
+	}
+	h.start()
+	h.run(t, 50_000_000)
+	if !a.Executed() || !b.Executed() {
+		t.Fatalf("executed A=%v B=%v, want both", a.Executed(), b.Executed())
+	}
+	if got := h.read(t, 0, dst, n); !bytes.Equal(got, bytes.Repeat([]byte{0xbb}, n)) {
+		t.Fatalf("destination starts %#x, want B's 0xbb throughout", got[0])
 	}
 }

@@ -462,6 +462,7 @@ func (s *Service) NewClientOn(name string, uas, kas *mem.AddrSpace, group *CGrou
 		Progress: sim.NewSignal("progress:" + name),
 		svc:      s,
 	}
+	c.uRings = []*Ring{c.U.Copy}
 	s.nextCID++
 	s.clients = append(s.clients, c)
 	clear(s.parts)
@@ -495,19 +496,17 @@ func (s *Service) KillClient(c *Client) {
 // in a service thread's context so pin releases and ring drains charge
 // cycles like any other service work.
 func (s *Service) teardownClient(ctx Ctx, c *Client) {
-	reclaimed := 0
 	// Drain every CSH ring, freeing the slots. Queued-but-unadmitted
 	// copy tasks never pinned anything — they are simply dropped.
-	for _, q := range []*QueueSet{c.K, c.U} {
-		reclaimed += c.drainForTeardown(ctx, q.Copy)
-		for q.Sync.Pop() != nil {
-			ctx.Exec(cycles.TaskPop)
-		}
+	reclaimed := c.drainForTeardown(ctx, c.K.Copy)
+	for c.K.Sync.Pop() != nil {
+		ctx.Exec(cycles.TaskPop)
 	}
-	if c.Shards != nil {
-		for _, r := range c.Shards.rings {
-			reclaimed += c.drainForTeardown(ctx, r)
-		}
+	for _, r := range c.uRings {
+		reclaimed += c.drainForTeardown(ctx, r)
+	}
+	for c.U.Sync.Pop() != nil {
+		ctx.Exec(cycles.TaskPop)
 	}
 	// Abort every admitted task: outstanding DMA still addresses the
 	// pinned frames, so wait it out before dropping the pins.
@@ -1300,13 +1299,10 @@ outer:
 
 // serveSyncQueue drains one Sync Queue, promoting or aborting tasks.
 func (s *Service) serveSyncQueue(ctx Ctx, c *Client, kmode bool) bool {
-	q := c.U
-	if kmode {
-		q = c.K
-	}
+	q := c.queues(kmode).Sync
 	worked := false
 	for {
-		st := q.Sync.Pop()
+		st := q.Pop()
 		if st == nil {
 			return worked
 		}
