@@ -124,12 +124,11 @@ func (pollingCtx) BlockTimeout(*sim.Signal, sim.Time) bool { return true }
 // idleSweeps benchmarks idle polling: a service sharded over nodes
 // NUMA nodes, one polling thread per node, and 24 two-core sharded
 // clients with nothing queued, the state a fleet thread spends most
-// sweeps in. The threads' NAPI sleeps end at
-// once, so they busy-poll for the whole run; one op is one 100-cycle
-// sweep period. Every quiet sweep declares an idle stretch, so the
-// event loop skips the threads' sweeps in bulk up to each NAPI budget
-// (sim.Env.DeclareIdle); what is left per op is the share of one
-// budget's sleep and full sweep.
+// sweeps in. The threads' NAPI sleeps end at once, so they busy-poll
+// for the whole run; one op is one 100-cycle sweep period. Every quiet
+// sweep declares an idle stretch, so the event loop skips the threads'
+// sweeps in bulk up to each NAPI budget (sim.Env.DeclareIdle); what is
+// left per op is the share of one budget's sleep and full sweep.
 func idleSweeps(nodes int) func(b *testing.B) {
 	return func(b *testing.B) {
 		env := sim.NewEnv()
