@@ -23,12 +23,13 @@
 // -cpuprofile FILE writes a runtime/pprof CPU profile of the selected
 // experiments (not of output writing) to FILE, for `go tool pprof`.
 //
-// -shards N runs the independent simulation cells of fig9, fig12b,
-// chaos, fleet and chaosfleet on a pool of N host worker threads.
-// Output is byte-identical at every value — the job pool replays each
-// cell's recording in cell order, and the output goldens
-// (internal/bench/testdata/golden, checked at 1 and 4 workers) enforce
-// it — so the flag changes wall clock only.
+// The independent simulation cells of fig9, fig12b, chaos, fleet and
+// chaosfleet run on a job pool of runtime.GOMAXPROCS(0) host worker
+// threads; GOMAXPROCS=1 runs them serially. Output is byte-identical at
+// every worker count — the job pool replays each cell's recording in
+// cell order, and the output goldens (internal/bench/testdata/golden,
+// checked at 1 and 4 workers) enforce it — so the count changes wall
+// clock only.
 package main
 
 import (
@@ -36,6 +37,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"runtime/pprof"
 	"strings"
 
@@ -93,11 +95,10 @@ func main() {
 	trace := flag.String("trace", "", "write Chrome/Perfetto trace_event JSON to this file")
 	metrics := flag.Bool("metrics", false, "print event-count and latency-histogram summary")
 	benchjson := flag.String("benchjson", "", "run hot-path microbenchmarks and write JSON results to this file")
-	shards := flag.Int("shards", 1, "job-pool host worker threads for fig9, fig12b, chaos, fleet and chaosfleet (output is byte-identical at any value)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")
 	flag.Parse()
 
-	bench.SetWorkers(*shards)
+	bench.SetWorkers(runtime.GOMAXPROCS(0))
 
 	if *benchjson != "" {
 		runBenchJSON(*benchjson)

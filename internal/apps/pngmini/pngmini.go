@@ -61,13 +61,7 @@ func Run(cfg Config) Result {
 		const strip = 2048 // a few rows per sync (§5.1 granularity)
 		for img := 0; img < cfg.Images; img++ {
 			start := t.Now()
-			var err error
-			if cfg.Copier {
-				_, err = fs.ReadCopier(t, file, 0, buf, cfg.ImageSize)
-			} else {
-				_, err = fs.Read(t, file, 0, buf, cfg.ImageSize)
-			}
-			if err != nil {
+			if _, err := fs.Read(t, file, 0, buf, cfg.ImageSize, cfg.Copier); err != nil {
 				panic(err)
 			}
 			// Header parse + decoder setup before the first row.

@@ -84,7 +84,7 @@ func Run(cfg Config) Result {
 
 	tx := m.Spawn(sender, "tx", func(t *kernel.Thread) {
 		for i := 0; i < cfg.Messages; i++ {
-			if err := ssock.Send(t, sbuf, msgLen); err != nil {
+			if err := ssock.Send(t, sbuf, msgLen, false); err != nil {
 				return
 			}
 			// Pace the stream so each message is measured in
@@ -99,18 +99,19 @@ func Run(cfg Config) Result {
 	rx := m.Spawn(app, "rx", func(t *kernel.Thread) {
 		for i := 0; i < cfg.Messages; i++ {
 			start := t.Now()
+			if _, err := asock.Recv(t, rbuf, msgLen, cfg.Copier); err != nil {
+				panic(err)
+			}
+			// Deserializing context initialization (§3's Fig. 3
+			// commentary).
+			t.Exec(600)
+			var sync func(off, n units.Bytes)
 			if cfg.Copier {
-				if _, err := asock.RecvCopier(t, rbuf, msgLen); err != nil {
-					panic(err)
-				}
-				// Deserializing context initialization (§3's Fig. 3
-				// commentary).
-				t.Exec(600)
 				// Sync in >=2KB strides — "apps can sync once every
 				// one to few KB of data used" (§5.1) — instead of per
 				// field.
 				synced := units.Bytes(0)
-				deserialize(t, app.AS, rbuf, obj, msgLen, func(off, n units.Bytes) {
+				sync = func(off, n units.Bytes) {
 					if off+n <= synced {
 						return
 					}
@@ -122,14 +123,9 @@ func Run(cfg Config) Result {
 						panic(err)
 					}
 					synced = upto
-				})
-			} else {
-				if _, err := asock.Recv(t, rbuf, msgLen); err != nil {
-					panic(err)
 				}
-				t.Exec(600)
-				deserialize(t, app.AS, rbuf, obj, msgLen, nil)
 			}
+			deserialize(t, app.AS, rbuf, obj, msgLen, sync)
 			total += t.Now() - start
 		}
 	})

@@ -8,6 +8,7 @@
 package proxy
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -15,7 +16,6 @@ import (
 	"copier/internal/core"
 	"copier/internal/cycles"
 	"copier/internal/kernel"
-	"copier/internal/libcopier"
 	"copier/internal/mem"
 	"copier/internal/sim"
 	"copier/internal/units"
@@ -184,7 +184,7 @@ func Run(cfg Config) Result {
 		rbuf := mustBuf(p.AS, cfg.MsgSize+256)
 		th := m.Spawn(p, fmt.Sprintf("up%d", i), func(t *kernel.Thread) {
 			for j := 0; j < cfg.MsgsPerFlow; j++ {
-				got, err := f.upSock.Recv(t, rbuf, cfg.MsgSize+256)
+				got, err := f.upSock.Recv(t, rbuf, cfg.MsgSize+256, false)
 				if err != nil || got == 0 {
 					return
 				}
@@ -216,7 +216,7 @@ func Run(cfg Config) Result {
 		th := m.Spawn(p, fmt.Sprintf("cl%d", i), func(t *kernel.Thread) {
 			for j := 0; j < cfg.MsgsPerFlow; j++ {
 				s0 := t.Now()
-				if err := f.clientSock.Send(t, sbuf, cfg.MsgSize); err != nil {
+				if err := f.clientSock.Send(t, sbuf, cfg.MsgSize, false); err != nil {
 					return
 				}
 				lats = append(lats, t.Now()-s0)
@@ -252,7 +252,7 @@ func forward(t *kernel.Thread, cfg Config, a *kernel.CopierAttachment, zio *base
 		// No reorganize copy: send straight from ibuf. The send's
 		// kernel task absorbs the unexecuted lazy remainder —
 		// kernel→kernel short-circuit.
-		if err := f.toUpstream.SendCopier(t, ibuf, n); err != nil {
+		if err := f.toUpstream.Send(t, ibuf, n, true); err != nil {
 			panic(err)
 		}
 		// Discard the rest of the lazy recv copy (§4.4 abort).
@@ -263,7 +263,7 @@ func forward(t *kernel.Thread, cfg Config, a *kernel.CopierAttachment, zio *base
 		if err := zio.PrepareOverwrite(t, ibuf, n); err != nil {
 			panic(err)
 		}
-		if _, err := f.fromClient.Recv(t, ibuf, n); err != nil {
+		if _, err := f.fromClient.Recv(t, ibuf, n, false); err != nil {
 			panic(err)
 		}
 		t.Exec(cycles.Mul(min(headerLen, n), cycles.ParseByteNum, cycles.ParseByteDen))
@@ -272,18 +272,18 @@ func forward(t *kernel.Thread, cfg Config, a *kernel.CopierAttachment, zio *base
 		if err := zio.Memcpy(t, mbuf, ibuf, n); err != nil {
 			panic(err)
 		}
-		if err := f.toUpstream.Send(t, mbuf, n); err != nil {
+		if err := f.toUpstream.Send(t, mbuf, n, false); err != nil {
 			panic(err)
 		}
 	default:
-		if _, err := f.fromClient.Recv(t, ibuf, n); err != nil {
+		if _, err := f.fromClient.Recv(t, ibuf, n, false); err != nil {
 			panic(err)
 		}
 		t.Exec(cycles.Mul(min(headerLen, n), cycles.ParseByteNum, cycles.ParseByteDen))
 		if err := t.UserCopy(mbuf, ibuf, n); err != nil {
 			panic(err)
 		}
-		if err := f.toUpstream.Send(t, mbuf, n); err != nil {
+		if err := f.toUpstream.Send(t, mbuf, n, false); err != nil {
 			panic(err)
 		}
 	}
@@ -297,25 +297,12 @@ type flowRef struct {
 	upSock     *kernel.Socket
 }
 
-// recvLazy performs the Copier recv with the copy task marked lazy.
+// recvLazy is recv(2) on the Copier path with the copy task marked
+// lazy.
 func recvLazy(t *kernel.Thread, a *kernel.CopierAttachment, s *kernel.Socket, buf mem.VA, n units.Bytes) {
 	t.Syscall("recv", func() {
 		t.Exec(cycles.SocketBookkeeping)
-		skb := s.WaitSkb(t)
-		if skb == nil {
-			return
-		}
-		got := skb.Len
-		if got > n {
-			got = n
-		}
-		net := t.Machine().Net()
-		err := a.Lib.AmemcpyOpts(t, buf, skb.VA, got, libcopier.Opts{
-			KMode: true, Lazy: true,
-			SrcAS: t.Machine().KernelAS, DstAS: t.Proc.AS,
-			Handler: &core.Handler{Kernel: true, Cost: 200, Fn: func() { net.FreeSkb(skb) }},
-		})
-		if err != nil {
+		if _, err := s.RecvSkb(t, a, t.Proc.AS, buf, n, true); err != nil && !errors.Is(err, kernel.ErrClosed) {
 			panic(err)
 		}
 	})

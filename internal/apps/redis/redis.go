@@ -12,6 +12,7 @@
 package redis
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"sort"
@@ -203,7 +204,7 @@ func buildInstance(m *kernel.Machine, cfg Config, inst int, latencies *[]sim.Tim
 	}
 	var ub *baseline.UB
 	if cfg.Mode == ModeUB {
-		ub = baseline.NewUB(m)
+		ub = baseline.NewUB()
 	}
 
 	// Database: per-key value buffers, preloaded so GET runs return
@@ -293,13 +294,6 @@ func serveOne(t *kernel.Thread, cfg Config, s *kernel.Socket, a *kernel.CopierAt
 	as := t.Proc.AS
 	var got units.Bytes
 	switch cfg.Mode {
-	case ModeCopier:
-		got, _ = s.RecvCopier(t, ibuf, reqHdr+cfg.ValueSize)
-		// Parse needs only the header: csync it, leaving the value
-		// copy in flight (the Copy-Use window).
-		if err := a.Lib.Csync(t, ibuf, reqHdr); err != nil {
-			panic(err)
-		}
 	case ModeUB:
 		got, _ = ub.RecvNT(t, s, ibuf, reqHdr+cfg.ValueSize)
 	case ModeZIO:
@@ -309,9 +303,16 @@ func serveOne(t *kernel.Thread, cfg Config, s *kernel.Socket, a *kernel.CopierAt
 		if err := zio.InvalidateSource(t, ibuf, reqHdr+cfg.ValueSize); err != nil {
 			panic(err)
 		}
-		got, _ = s.Recv(t, ibuf, reqHdr+cfg.ValueSize)
+		fallthrough
 	default:
-		got, _ = s.Recv(t, ibuf, reqHdr+cfg.ValueSize)
+		got, _ = s.Recv(t, ibuf, reqHdr+cfg.ValueSize, cfg.Mode == ModeCopier)
+	}
+	if cfg.Mode == ModeCopier {
+		// Parse needs only the header: csync it, leaving the value
+		// copy in flight (the Copy-Use window).
+		if err := a.Lib.Csync(t, ibuf, reqHdr); err != nil {
+			panic(err)
+		}
 	}
 	if got < reqHdr {
 		return
@@ -391,10 +392,6 @@ func reply(t *kernel.Thread, cfg Config, s *kernel.Socket, a *kernel.CopierAttac
 		if err := zio.Send(t, s, buf, n); err != nil {
 			panic(err)
 		}
-	case ModeCopier:
-		if err := s.SendCopier(t, buf, n); err != nil {
-			panic(err)
-		}
 	case ModeUB:
 		if err := ub.SendNT(t, s, buf, n); err != nil {
 			panic(err)
@@ -407,24 +404,22 @@ func reply(t *kernel.Thread, cfg Config, s *kernel.Socket, a *kernel.CopierAttac
 			return
 		}
 		// Unaligned or too small: fall back.
-		if err := s.Send(t, buf, n); err != nil {
-			panic(err)
-		}
+		fallthrough
 	default:
-		if err := s.Send(t, buf, n); err != nil {
+		if err := s.Send(t, buf, n, cfg.Mode == ModeCopier); err != nil {
 			panic(err)
 		}
 	}
 }
 
 func send(t *kernel.Thread, s *kernel.Socket, buf mem.VA, n units.Bytes) {
-	if err := s.Send(t, buf, n); err != nil {
+	if err := s.Send(t, buf, n, false); err != nil {
 		panic(err)
 	}
 }
 
 func recvFull(t *kernel.Thread, s *kernel.Socket, buf mem.VA, n units.Bytes) {
-	if _, err := s.Recv(t, buf, n); err != nil {
+	if _, err := s.Recv(t, buf, n, false); err != nil {
 		panic(err)
 	}
 }
@@ -471,11 +466,9 @@ func mustBuf(as *mem.AddrSpace, n units.Bytes) mem.VA {
 }
 
 func fillVA(as *mem.AddrSpace, va mem.VA, n units.Bytes, b byte) {
-	buf := make([]byte, n)
-	for i := range buf {
-		buf[i] = b
-	}
-	if err := as.WriteAt(va, buf); err != nil {
+	// bytes.Repeat fills by doubling copies: a byte-at-a-time loop ran
+	// at half speed whenever the linker left it across a 64-byte line.
+	if err := as.WriteAt(va, bytes.Repeat([]byte{b}, int(n))); err != nil {
 		panic(err)
 	}
 }

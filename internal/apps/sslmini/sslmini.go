@@ -58,7 +58,7 @@ func Run(cfg Config) Result {
 			if rem := cfg.MsgSize - units.Bytes((i%records))*RecordMax; rem < n {
 				n = rem
 			}
-			if err := ssock.Send(t, sbuf, n); err != nil {
+			if err := ssock.Send(t, sbuf, n, false); err != nil {
 				return
 			}
 			t.Exec(10_000)
@@ -69,6 +69,14 @@ func Run(cfg Config) Result {
 	pbuf := mustBuf(app.AS, RecordMax) // plaintext output
 	var total sim.Time
 	rx := m.Spawn(app, "rx", func(t *kernel.Thread) {
+		var csync func(off, ln units.Bytes)
+		if cfg.Copier {
+			csync = func(off, ln units.Bytes) {
+				if err := attach.Lib.Csync(t, rbuf+mem.VA(off), ln); err != nil {
+					panic(err)
+				}
+			}
+		}
 		for i := 0; i < cfg.Messages; i++ {
 			start := t.Now()
 			for r := 0; r < records; r++ {
@@ -76,24 +84,12 @@ func Run(cfg Config) Result {
 				if rem := cfg.MsgSize - units.Bytes(r)*RecordMax; rem < n {
 					n = rem
 				}
-				if cfg.Copier {
-					if _, err := asock.RecvCopier(t, rbuf, n); err != nil {
-						panic(err)
-					}
-					// Record header/IV processing before payload use.
-					t.Exec(400)
-					decrypt(t, app.AS, rbuf, pbuf, n, func(off, ln units.Bytes) {
-						if err := attach.Lib.Csync(t, rbuf+mem.VA(off), ln); err != nil {
-							panic(err)
-						}
-					})
-				} else {
-					if _, err := asock.Recv(t, rbuf, n); err != nil {
-						panic(err)
-					}
-					t.Exec(400)
-					decrypt(t, app.AS, rbuf, pbuf, n, nil)
+				if _, err := asock.Recv(t, rbuf, n, cfg.Copier); err != nil {
+					panic(err)
 				}
+				// Record header/IV processing before payload use.
+				t.Exec(400)
+				decrypt(t, app.AS, rbuf, pbuf, n, csync)
 			}
 			total += t.Now() - start
 		}

@@ -141,7 +141,7 @@ func TestUBSkipsTrapButSlowsCompute(t *testing.T) {
 	m := newM(2)
 	sender := m.NewProcess("s")
 	receiver := m.NewProcess("r")
-	u := NewUB(m)
+	u := NewUB()
 	sa, sb := m.Net().SocketPair("a", "b")
 	const n = 2 << 10
 	sbuf := mkbuf(t, sender, n, 0x31)
@@ -179,7 +179,7 @@ func TestUBSkipsTrapButSlowsCompute(t *testing.T) {
 	var syscallTime sim.Time
 	tx2 := m2.Spawn(s2, "tx", func(th *kernel.Thread) {
 		start := th.Now()
-		if err := sa2.Send(th, sbuf2, n); err != nil {
+		if err := sa2.Send(th, sbuf2, n, false); err != nil {
 			t.Error(err)
 		}
 		syscallTime = th.Now() - start
@@ -201,7 +201,7 @@ func TestIOUringCompletesOps(t *testing.T) {
 	pTx := m.NewProcess("tx")
 	pRx := m.NewProcess("rx")
 	sa, sb := m.Net().SocketPair("a", "b")
-	u := NewIOUring(m, false)
+	u := NewIOUring(m)
 	const n = 8 << 10
 	sbuf := mkbuf(t, pTx, n, 0x52)
 	rbuf := mkbuf(t, pRx, n, 0)
@@ -240,7 +240,7 @@ func TestIOUringBatchAmortizes(t *testing.T) {
 		p := m.NewProcess("app")
 		sa, sb := m.Net().SocketPair("a", "b")
 		_ = sb
-		u := NewIOUring(m, false)
+		u := NewIOUring(m)
 		sbuf := mkbuf(t, p, n, 1)
 		var total sim.Time
 		app := m.Spawn(p, "app", func(th *kernel.Thread) {
@@ -282,7 +282,7 @@ func TestIOUringWithCopierPath(t *testing.T) {
 	m.AttachCopier(pTx)
 	rxAttach := m.AttachCopier(pRx)
 	sa, sb := m.Net().SocketPair("a", "b")
-	u := NewIOUring(m, true)
+	u := NewIOUring(m)
 	const n = 16 << 10
 	sbuf := mkbuf(t, pTx, n, 0x8D)
 	rbuf := mkbuf(t, pRx, n, 0)

@@ -16,15 +16,14 @@ import (
 // optimize SETs and GETs of <=4KB because it slows down the program's
 // memory access".
 type UB struct {
-	m *kernel.Machine
 	// SlowdownNum/Den is the memory-access multiplier of bypassed
 	// user code (~1.3x).
 	SlowdownNum, SlowdownDen int64
 }
 
 // NewUB returns the Userspace Bypass model.
-func NewUB(m *kernel.Machine) *UB {
-	return &UB{m: m, SlowdownNum: 13, SlowdownDen: 10}
+func NewUB() *UB {
+	return &UB{SlowdownNum: 13, SlowdownDen: 10}
 }
 
 // Slow scales a bypassed compute cost by the slowdown factor.
@@ -33,38 +32,17 @@ func (u *UB) Slow(d sim.Time) sim.Time {
 }
 
 // SendNT is send(2) under UB: no trap/return (the caller already runs
-// in kernel context), same kernel work.
+// in kernel context), same kernel work as Socket.Send's synchronous
+// path.
 func (u *UB) SendNT(t *kernel.Thread, s *kernel.Socket, buf mem.VA, n units.Bytes) error {
-	var err error
-	// Same path as Socket.Send minus the privilege crossings.
 	t.Exec(cycles.SocketBookkeeping)
-	skb := u.m.Net().AllocSkb(t, n)
-	if err = t.KernelCopy(u.m.KernelAS, skb.VA, t.Proc.AS, buf, n); err != nil {
-		u.m.Net().FreeSkb(skb)
-		return err
-	}
-	t.Exec(cycles.SoftIRQPacket + cycles.NICDoorbell)
-	s.DeliverSkb(skb)
-	return nil
+	return s.SendSkb(t, nil, t.Proc.AS, buf, n)
 }
 
 // RecvNT is recv(2) under UB.
 func (u *UB) RecvNT(t *kernel.Thread, s *kernel.Socket, buf mem.VA, n units.Bytes) (units.Bytes, error) {
 	t.Exec(cycles.SocketBookkeeping)
-	skb := s.WaitSkb(t)
-	if skb == nil {
-		return 0, kernel.ErrClosed
-	}
-	got := skb.Len
-	if got > n {
-		got = n
-	}
-	if err := t.KernelCopy(t.Proc.AS, buf, u.m.KernelAS, skb.VA, got); err != nil {
-		return 0, err
-	}
-	t.Exec(200)
-	u.m.Net().FreeSkb(skb)
-	return got, nil
+	return s.RecvSkb(t, nil, t.Proc.AS, buf, n, false)
 }
 
 // IOUring models io_uring with an SQPOLL kernel thread: applications
@@ -77,9 +55,6 @@ type IOUring struct {
 	// completions signal per-SQE completion.
 	work *sim.Signal
 	done *sim.Signal
-	// UseCopier makes the kthread use the Copier-integrated socket
-	// paths (Fig. 10's Copier+batch series).
-	UseCopier bool
 
 	stopped bool
 }
@@ -98,12 +73,11 @@ type SQE struct {
 }
 
 // NewIOUring starts an io_uring instance with its SQPOLL kthread.
-func NewIOUring(m *kernel.Machine, useCopier bool) *IOUring {
+func NewIOUring(m *kernel.Machine) *IOUring {
 	u := &IOUring{
-		m:         m,
-		work:      sim.NewSignal("iouring-work"),
-		done:      sim.NewSignal("iouring-done"),
-		UseCopier: useCopier,
+		m:    m,
+		work: sim.NewSignal("iouring-work"),
+		done: sim.NewSignal("iouring-done"),
 	}
 	m.Spawn(nil, "iou-sqpoll", func(t *kernel.Thread) {
 		for !u.stopped {
@@ -129,43 +103,17 @@ func (u *IOUring) Stop() {
 
 func (u *IOUring) exec(t *kernel.Thread, sqe *SQE) {
 	// The kthread performs the op in kernel context: no trap/return,
-	// but all other socket costs apply. With UseCopier it takes the
-	// Copier-integrated path (the copy is submitted async and synced
-	// by the NIC driver / app respectively).
-	net := u.m.Net()
-	if sqe.Send {
-		t.Exec(cycles.SocketBookkeeping)
-		skb := net.AllocSkb(t, sqe.Len)
-		a := u.m.Attachment(sqe.Proc)
-		if u.UseCopier && a != nil {
-			sqe.Err = sqe.Sock.SendSkbCopier(t, a, skb, sqe.Proc.AS, sqe.Buf, sqe.Len)
-		} else {
-			sqe.Err = t.KernelCopy(u.m.KernelAS, skb.VA, sqe.Proc.AS, sqe.Buf, sqe.Len)
-			if sqe.Err == nil {
-				t.Exec(cycles.SoftIRQPacket + cycles.NICDoorbell)
-				sqe.Sock.DeliverSkb(skb)
-			}
-		}
-		return
-	}
-	t.Exec(cycles.SocketBookkeeping)
-	skb := sqe.Sock.WaitSkb(t)
-	if skb == nil {
-		sqe.Err = kernel.ErrClosed
-		return
-	}
-	sqe.Got = skb.Len
-	if sqe.Got > sqe.Len {
-		sqe.Got = sqe.Len
-	}
+	// but all other socket costs apply. For a Copier-attached process
+	// the copy goes through its attachment (Fig. 10's Copier+batch
+	// series: submitted async and synced by the NIC driver or the app),
+	// with no size fallback.
 	a := u.m.Attachment(sqe.Proc)
-	if u.UseCopier && a != nil {
-		sqe.Err = sqe.Sock.RecvSkbCopier(t, a, skb, sqe.Proc.AS, sqe.Buf, sqe.Got)
-	} else {
-		sqe.Err = t.KernelCopy(sqe.Proc.AS, sqe.Buf, u.m.KernelAS, skb.VA, sqe.Got)
-		t.Exec(200)
-		net.FreeSkb(skb)
+	t.Exec(cycles.SocketBookkeeping)
+	if sqe.Send {
+		sqe.Err = sqe.Sock.SendSkb(t, a, sqe.Proc.AS, sqe.Buf, sqe.Len)
+		return
 	}
+	sqe.Got, sqe.Err = sqe.Sock.RecvSkb(t, a, sqe.Proc.AS, sqe.Buf, sqe.Len, false)
 }
 
 // Submit enqueues entries without trapping (shared-memory SQ write +

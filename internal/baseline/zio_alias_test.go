@@ -42,7 +42,7 @@ func TestZIOAliasAndGatherSend(t *testing.T) {
 		}
 	})
 	rx := m.Spawn(peer, "rx", func(th *kernel.Thread) {
-		got, err := sb.Recv(th, rbuf, n+64)
+		got, err := sb.Recv(th, rbuf, n+64, false)
 		if err != nil || got != n+10 {
 			t.Errorf("recv %d %v", got, err)
 		}

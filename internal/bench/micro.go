@@ -119,15 +119,12 @@ func fileSendLatency(n units.Bytes, mode int) sim.Time {
 		start := t.Now()
 		for i := 0; i < iters; i++ {
 			var err error
-			switch mode {
-			case 0:
-				if _, err = fs.Read(t, f, 0, buf, n); err == nil {
-					err = ss.Send(t, buf, n)
+			if mode == 0 {
+				if _, err = fs.Read(t, f, 0, buf, n, false); err == nil {
+					err = ss.Send(t, buf, n, false)
 				}
-			case 1:
-				err = fs.SendFile(t, ss, f, 0, n)
-			case 2:
-				err = fs.SendFileCopier(t, ss, f, 0, n)
+			} else {
+				err = fs.SendFile(t, ss, f, 0, n, mode == 2)
 			}
 			if err != nil {
 				panic(err)
@@ -138,7 +135,7 @@ func fileSendLatency(n units.Bytes, mode int) sim.Time {
 	rx := m.Spawn(m.NewProcess("cli"), "rx", func(t *kernel.Thread) {
 		rbuf := mustBufIn(t.Proc, n)
 		for i := 0; i < iters; i++ {
-			if _, err := cs.Recv(t, rbuf, n); err != nil {
+			if _, err := cs.Recv(t, rbuf, n, false); err != nil {
 				return
 			}
 		}
@@ -401,16 +398,16 @@ func syscallLatency(size units.Bytes, recv bool, mode string) sim.Time {
 		// wait.
 		feeder := m.Spawn(peer, "feeder", func(t *kernel.Thread) {
 			for i := 0; i < iters; i++ {
-				if err := ps.Send(t, pbuf, size); err != nil {
+				if err := ps.Send(t, pbuf, size, false); err != nil {
 					return
 				}
 			}
 		})
 		app0 := m.Spawn(app, "app", func(t *kernel.Thread) {
-			ub := baseline.NewUB(m)
+			ub := baseline.NewUB()
 			var uring *baseline.IOUring
 			if mode == "io_uring" || mode == "io_uring-batch" || mode == "copier+batch" {
-				uring = baseline.NewIOUring(m, useCopier)
+				uring = baseline.NewIOUring(m)
 				defer uring.Stop()
 			}
 			var total sim.Time
@@ -420,9 +417,16 @@ func syscallLatency(size units.Bytes, recv bool, mode string) sim.Time {
 				}
 				start := t.Now()
 				switch mode {
-				case "baseline", "zero-copy":
-					if _, err := as.Recv(t, abuf, size); err != nil {
+				case "baseline", "zero-copy", "copier":
+					if _, err := as.Recv(t, abuf, size, useCopier); err != nil {
 						panic(err)
+					}
+					// The app syncs before first use; include it so
+					// the comparison is end-to-end honest.
+					if useCopier {
+						if err := attach.Lib.Csync(t, abuf, size); err != nil {
+							panic(err)
+						}
 					}
 				case "UB":
 					if _, err := ub.RecvNT(t, as, abuf, size); err != nil {
@@ -452,15 +456,6 @@ func syscallLatency(size units.Bytes, recv bool, mode string) sim.Time {
 						total += (t.Now() - start) / sim.Time(len(sqes))
 					}
 					continue
-				case "copier":
-					if _, err := as.RecvCopier(t, abuf, size); err != nil {
-						panic(err)
-					}
-					// The app syncs before first use; include it so
-					// the comparison is end-to-end honest.
-					if err := attach.Lib.Csync(t, abuf, size); err != nil {
-						panic(err)
-					}
 				}
 				if i >= warm {
 					total += t.Now() - start
@@ -473,18 +468,18 @@ func syscallLatency(size units.Bytes, recv bool, mode string) sim.Time {
 		}
 	default: // send
 		app0 := m.Spawn(app, "app", func(t *kernel.Thread) {
-			ub := baseline.NewUB(m)
+			ub := baseline.NewUB()
 			var uring *baseline.IOUring
 			if mode == "io_uring" || mode == "io_uring-batch" || mode == "copier+batch" {
-				uring = baseline.NewIOUring(m, useCopier)
+				uring = baseline.NewIOUring(m)
 				defer uring.Stop()
 			}
 			var total sim.Time
 			for i := 0; i < iters; i++ {
 				start := t.Now()
 				switch mode {
-				case "baseline":
-					if err := as.Send(t, abuf, size); err != nil {
+				case "baseline", "copier":
+					if err := as.Send(t, abuf, size, useCopier); err != nil {
 						panic(err)
 					}
 				case "UB":
@@ -517,10 +512,6 @@ func syscallLatency(size units.Bytes, recv bool, mode string) sim.Time {
 						total += (t.Now() - start) / sim.Time(count)
 					}
 					continue
-				case "copier":
-					if err := as.SendCopier(t, abuf, size); err != nil {
-						panic(err)
-					}
 				}
 				if i >= warm {
 					total += t.Now() - start
@@ -531,7 +522,7 @@ func syscallLatency(size units.Bytes, recv bool, mode string) sim.Time {
 		})
 		drain := m.Spawn(peer, "drain", func(t *kernel.Thread) {
 			for i := 0; i < iters; i++ {
-				if _, err := ps.Recv(t, pbuf, size); err != nil {
+				if _, err := ps.Recv(t, pbuf, size, false); err != nil {
 					return
 				}
 			}
@@ -674,13 +665,7 @@ func cowBlocked(pages int, copier bool) sim.Time {
 	m.ForkProcess(p, "child")
 	var blocked sim.Time
 	th := m.Spawn(p, "faulter", func(t *kernel.Thread) {
-		var res kernel.CoWResult
-		var err error
-		if copier {
-			res, err = t.HandleCoWFaultCopier(p.AS, region, length)
-		} else {
-			res, err = t.HandleCoWFault(p.AS, region, length)
-		}
+		res, err := t.HandleCoWFault(p.AS, region, length, copier)
 		if err != nil {
 			panic(err)
 		}

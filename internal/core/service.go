@@ -508,32 +508,16 @@ func (s *Service) teardownClient(ctx Ctx, c *Client) {
 	for c.U.Sync.Pop() != nil {
 		ctx.Exec(cycles.TaskPop)
 	}
-	// Abort every admitted task: outstanding DMA still addresses the
-	// pinned frames, so wait it out before dropping the pins.
+	// Abort every admitted task. Kernel-side FUNCs still run — they
+	// reclaim kernel resources (skbs, kernel buffers) the dead process
+	// cannot. User FUNCs are dropped with c.U.handlers: there is no
+	// process left to run them.
 	for _, t := range c.pending {
 		if t.executed || t.aborted {
 			continue
 		}
-		s.awaitInFlight(ctx, t)
-		s.unpinAll(ctx, t.pins)
-		t.pins = nil
-		t.aborted = true
-		t.err = ErrClientDead
-		t.Desc.Err = ErrClientDead
-		t.Desc.NotifyProgress(ctx.Env())
-		c.backlogBytes -= int64(t.Len)
-		s.backlogBytes -= int64(t.Len)
-		s.Stats.AbortedTasks++
+		s.abortTask(ctx, c, t, ErrClientDead)
 		reclaimed++
-		// Kernel-side FUNCs still run — they reclaim kernel resources
-		// (skbs, kernel buffers) the dead process cannot. User FUNCs
-		// are dropped: there is no process left to run them.
-		if h := t.Handler; h != nil && h.Kernel {
-			ctx.Exec(cycles.HandlerDispatch + h.Cost)
-			if h.Fn != nil {
-				h.Fn()
-			}
-		}
 	}
 	c.pending = c.pending[:0]
 	c.U.handlers = nil
@@ -1377,30 +1361,42 @@ func (s *Service) abort(ctx Ctx, c *Client, st *Task) {
 			match = RangesOverlap(t.Dst, t.Len, st.Addr, st.SyncLen)
 		}
 		if match {
-			// Outstanding DMA may still address the pinned pages:
-			// wait it out before dropping the pins.
-			s.awaitInFlight(ctx, t)
-			s.unpinAll(ctx, t.pins)
-			t.pins = nil
-			t.aborted = true
-			c.backlogBytes -= int64(t.Len)
-			s.backlogBytes -= int64(t.Len)
-			s.Stats.AbortedTasks++
-			// The copy is discarded but the post-copy FUNC is still
-			// delegated — it reclaims buffers the client no longer
-			// tracks (the proxy's skb free, §4.4 / §5.2).
-			if h := t.Handler; h != nil {
-				if h.Kernel {
-					ctx.Exec(cycles.HandlerDispatch + h.Cost)
-					if h.Fn != nil {
-						h.Fn()
-					}
-				} else {
-					c.U.handlers = append(c.U.handlers, h)
-				}
-			}
+			s.abortTask(ctx, c, t, nil)
 		}
 	}
 	c.removeExecuted()
 	c.Progress.Broadcast(ctx.Env())
+}
+
+// abortTask discards admitted task t of client c. Outstanding DMA may
+// still address the pinned pages, so it waits that out before dropping
+// the pins. The copy is discarded but the post-copy FUNC is still
+// delegated — it reclaims buffers the client no longer tracks (the
+// proxy's skb free, §4.4 / §5.2): a kernel FUNC runs here, a user FUNC
+// is queued for the client. A non-nil err (client death) is recorded
+// on the task and its descriptor, and the descriptor's waiters are
+// woken.
+func (s *Service) abortTask(ctx Ctx, c *Client, t *Task, err error) {
+	s.awaitInFlight(ctx, t)
+	s.unpinAll(ctx, t.pins)
+	t.pins = nil
+	t.aborted = true
+	if err != nil {
+		t.err = err
+		t.Desc.Err = err
+		t.Desc.NotifyProgress(ctx.Env())
+	}
+	c.backlogBytes -= int64(t.Len)
+	s.backlogBytes -= int64(t.Len)
+	s.Stats.AbortedTasks++
+	if h := t.Handler; h != nil {
+		if h.Kernel {
+			ctx.Exec(cycles.HandlerDispatch + h.Cost)
+			if h.Fn != nil {
+				h.Fn()
+			}
+		} else {
+			c.U.handlers = append(c.U.handlers, h)
+		}
+	}
 }

@@ -84,8 +84,7 @@ func (c *BinderConn) Transact(t *Thread, data mem.VA, n units.Bytes, replyBuf me
 	var replyLen units.Bytes
 	t.Syscall("binder-txn", func() {
 		t.Exec(cycles.SocketBookkeeping) // driver bookkeeping
-		a := t.m.Attachment(t.Proc)
-		if copier && a != nil {
+		if a := t.copierFor(copier); a != nil {
 			// Driver submits the client→kernel copy asynchronously;
 			// the server-side Parcel csyncs before each read. The
 			// copy proceeds in parallel with waking and scheduling

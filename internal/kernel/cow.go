@@ -81,8 +81,12 @@ func (t *Thread) releaseOld(src []hw.FrameRange) {
 
 // HandleCoWFault resolves a write fault on the CoW region starting at
 // va spanning length bytes (PageSize for base pages, 2MB for
-// transparent huge pages) using the baseline kernel path.
-func (t *Thread) HandleCoWFault(as *mem.AddrSpace, va mem.VA, length units.Bytes) (CoWResult, error) {
+// transparent huge pages): break the mappings, copy the shared pages
+// (copyCoW), drop the old frames and flush the TLB. copier selects the
+// split-work Copier path; a process without an attachment takes the
+// baseline ERMS copy.
+func (t *Thread) HandleCoWFault(as *mem.AddrSpace, va mem.VA, length units.Bytes, copier bool) (CoWResult, error) {
+	a := t.copierFor(copier)
 	start := t.Now()
 	t.Exec(cycles.PageFault)
 	src, dst, err := t.breakPages(as, va, length)
@@ -92,37 +96,26 @@ func (t *Thread) HandleCoWFault(as *mem.AddrSpace, va mem.VA, length units.Bytes
 	copied := hw.TotalLen(src)
 	if copied > 0 {
 		t.Exec(cowAllocCost(copied))
-		hw.CopyScatter(t.m.Phys, dst, src)
-		t.Exec(cycles.SyncCopyCost(cycles.UnitERMS, copied))
+		if err := t.copyCoW(a, dst, src, copied); err != nil {
+			return CoWResult{}, err
+		}
 		t.releaseOld(src)
 	}
 	t.Exec(cowFlushCost(length))
 	return CoWResult{Blocked: t.Now() - start, Copied: copied}, nil
 }
 
-// HandleCoWFaultCopier resolves the fault with the split-work Copier
-// path: the service copies the bulk of the region on AVX+DMA via a
-// physically-addressed kernel task while the handler copies its own
-// share on ERMS; the handler csyncs before the page-table update
-// becomes visible (guideline 4, §5.1).
-func (t *Thread) HandleCoWFaultCopier(as *mem.AddrSpace, va mem.VA, length units.Bytes) (CoWResult, error) {
-	a := t.m.Attachment(t.Proc)
+// copyCoW copies the broken pages' contents, copied bytes in all. A
+// nil attachment copies everything on the handler's ERMS. Otherwise
+// the service copies the bulk on AVX+DMA as one physically-addressed
+// kernel task while the handler copies its own share on ERMS, and the
+// handler csyncs before the page-table update becomes visible
+// (guideline 4, §5.1).
+func (t *Thread) copyCoW(a *CopierAttachment, dst, src []hw.FrameRange, copied units.Bytes) error {
 	if a == nil {
-		return t.HandleCoWFault(as, va, length)
+		t.ermsScatter(dst, src, copied)
+		return nil
 	}
-	start := t.Now()
-	t.Exec(cycles.PageFault)
-	src, dst, err := t.breakPages(as, va, length)
-	if err != nil {
-		return CoWResult{}, err
-	}
-	copied := hw.TotalLen(src)
-	if copied == 0 {
-		t.Exec(cowFlushCost(length))
-		return CoWResult{Blocked: t.Now() - start}, nil
-	}
-	t.Exec(cowAllocCost(copied))
-
 	// Split by unit bandwidth: the handler's ERMS sustains ~7 B/c,
 	// the service's AVX+DMA pair ~16 B/c, so the handler keeps ~30%.
 	localBytes := copied * 3 / 10
@@ -142,27 +135,27 @@ func (t *Thread) HandleCoWFaultCopier(as *mem.AddrSpace, va mem.VA, length units
 		t.Exec(cycles.SubmitTask)
 		if !a.Client.SubmitCopy(task, true) {
 			// Queue full: fall back to copying everything locally.
-			hw.CopyScatter(t.m.Phys, dstOff, srcOff)
-			t.Exec(cycles.SyncCopyCost(cycles.UnitERMS, copied-localBytes))
+			t.ermsScatter(dstOff, srcOff, copied-localBytes)
 			desc = nil
 		}
 	}
 
 	// Handler copies its share in parallel with the service.
 	if localBytes > 0 {
-		hw.CopyScatter(t.m.Phys, dstLocal, srcLocal)
-		t.Exec(cycles.SyncCopyCost(cycles.UnitERMS, localBytes))
+		t.ermsScatter(dstLocal, srcLocal, localBytes)
 	}
 
 	// Sync before the new mapping is visible to other threads.
 	if desc != nil {
-		if err := a.Lib.CsyncDesc(t, desc, 0, copied-localBytes); err != nil {
-			return CoWResult{}, err
-		}
+		return a.Lib.CsyncDesc(t, desc, 0, copied-localBytes)
 	}
-	t.releaseOld(src)
-	t.Exec(cowFlushCost(length))
-	return CoWResult{Blocked: t.Now() - start, Copied: copied}, nil
+	return nil
+}
+
+// ermsScatter copies n bytes between frame lists on the thread's ERMS.
+func (t *Thread) ermsScatter(dst, src []hw.FrameRange, n units.Bytes) {
+	hw.CopyScatter(t.m.Phys, dst, src)
+	t.Exec(cycles.SyncCopyCost(cycles.UnitERMS, n))
 }
 
 // takeBytes splits a scatter list at n bytes, returning the head and

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"copier/internal/core"
 	"copier/internal/cycles"
 	"copier/internal/libcopier"
 	"copier/internal/mem"
@@ -61,42 +60,31 @@ func (fs *FS) Open(name string) (*File, error) {
 // fileLookupCost is the dentry/inode path per read call (cache hot).
 const fileLookupCost = 500
 
-// Read is the baseline read(2) from the page cache: trap, lookup, one
-// ERMS copy to user memory.
-func (fs *FS) Read(t *Thread, f *File, off units.Bytes, buf mem.VA, n units.Bytes) (units.Bytes, error) {
-	if off >= f.Size {
-		return 0, nil
-	}
-	if off+n > f.Size {
-		n = f.Size - off
-	}
-	var err error
-	t.Syscall("read", func() {
-		t.Exec(fileLookupCost)
-		err = t.KernelCopy(t.Proc.AS, buf, t.m.KernelAS, f.va+mem.VA(off), n)
-	})
-	return n, err
-}
-
-// ReadCopier is read(2) on Copier-Linux: the page-cache→user copy is
-// submitted as a k-mode Copy Task; the app csyncs before use (the
-// libpng pattern: decode proceeds while the tail of the image is
-// still being copied).
-func (fs *FS) ReadCopier(t *Thread, f *File, off units.Bytes, buf mem.VA, n units.Bytes) (units.Bytes, error) {
-	a := t.m.Attachment(t.Proc)
-	if a == nil || n < CopierFallbackMin {
-		return fs.Read(t, f, off, buf, n)
+// Read is read(2) from the page cache: trap, lookup, one copy to user
+// memory. copier selects the Copier-Linux path: the page-cache→user
+// copy is submitted as a k-mode Copy Task and the app csyncs before
+// use (the libpng pattern: decode proceeds while the tail of the image
+// is still being copied). A process without an attachment, or a
+// request for fewer than CopierFallbackMin bytes, copies synchronously
+// with ERMS.
+func (fs *FS) Read(t *Thread, f *File, off units.Bytes, buf mem.VA, n units.Bytes, copier bool) (units.Bytes, error) {
+	a := t.copierFor(copier)
+	if n < CopierFallbackMin {
+		a = nil
 	}
 	if off >= f.Size {
 		return 0, nil
 	}
-	if off+n > f.Size {
-		n = f.Size - off
-	}
+	n = min(n, f.Size-off)
+	src := f.va + mem.VA(off)
 	var err error
 	t.Syscall("read", func() {
 		t.Exec(fileLookupCost)
-		err = a.Lib.AmemcpyOpts(t, buf, f.va+mem.VA(off), n, libcopier.Opts{
+		if a == nil {
+			err = t.KernelCopy(t.Proc.AS, buf, t.m.KernelAS, src, n)
+			return
+		}
+		err = a.Lib.AmemcpyOpts(t, buf, src, n, libcopier.Opts{
 			KMode: true,
 			SrcAS: t.m.KernelAS, DstAS: t.Proc.AS,
 		})
@@ -104,59 +92,21 @@ func (fs *FS) ReadCopier(t *Thread, f *File, off units.Bytes, buf mem.VA, n unit
 	return n, err
 }
 
-// SendFile is sendfile(2): file pages are copied directly into a
-// socket buffer in kernel space — no user-space bounce, but the copy
-// still blocks the caller (Table 1: "address transfer in kernel",
-// blocking).
-func (fs *FS) SendFile(t *Thread, s *Socket, f *File, off, n units.Bytes) error {
+// SendFile is sendfile(2): file pages are copied straight into a
+// socket buffer in kernel space (SendSkb), with no user-space bounce.
+// The synchronous copy still blocks the caller (Table 1: "address
+// transfer in kernel", blocking). copier delegates it to the service
+// as one k-mode Copy Task between kernel virtual addresses (page cache
+// → skb), synced before the NIC doorbell, at every size.
+func (fs *FS) SendFile(t *Thread, s *Socket, f *File, off, n units.Bytes, copier bool) error {
+	a := t.copierFor(copier)
 	if off+n > f.Size {
 		n = f.Size - off
 	}
 	var err error
 	t.Syscall("sendfile", func() {
 		t.Exec(fileLookupCost + cycles.SocketBookkeeping)
-		skb := s.net.pool.alloc(t, n)
-		if err = t.KernelCopy(t.m.KernelAS, skb.VA, t.m.KernelAS, f.va+mem.VA(off), n); err != nil {
-			s.net.pool.put(skb)
-			return
-		}
-		t.Exec(cycles.SoftIRQPacket + cycles.NICDoorbell)
-		s.deliver(skb)
-	})
-	return err
-}
-
-// SendFileCopier is sendfile with the copy delegated to the service:
-// a single physically-addressed kernel task (pages of the file →
-// pages of the skb) synced before the NIC doorbell.
-func (fs *FS) SendFileCopier(t *Thread, s *Socket, f *File, off, n units.Bytes) error {
-	a := t.m.Attachment(t.Proc)
-	if a == nil {
-		return fs.SendFile(t, s, f, off, n)
-	}
-	if off+n > f.Size {
-		n = f.Size - off
-	}
-	var err error
-	t.Syscall("sendfile", func() {
-		t.Exec(fileLookupCost + cycles.SocketBookkeeping)
-		skb := s.net.pool.alloc(t, n)
-		desc := core.NewDescriptor(skb.VA, n, core.DefaultSegSize)
-		err = a.Lib.AmemcpyOpts(t, skb.VA, f.va+mem.VA(off), n, libcopier.Opts{
-			KMode: true, Desc: desc, NoTrack: true,
-			SrcAS: t.m.KernelAS, DstAS: t.m.KernelAS,
-		})
-		if err != nil {
-			s.net.pool.put(skb)
-			return
-		}
-		t.Exec(cycles.SoftIRQPacket)
-		if err = a.Lib.CsyncDesc(t, desc, 0, n); err != nil {
-			s.net.pool.put(skb)
-			return
-		}
-		t.Exec(cycles.NICDoorbell)
-		s.deliver(skb)
+		err = s.SendSkb(t, a, t.m.KernelAS, f.va+mem.VA(off), n)
 	})
 	return err
 }

@@ -19,16 +19,16 @@ func TestFSReadBaseline(t *testing.T) {
 	f := fs.Create("a.txt", payload)
 	buf := mkbuf(t, p, plen, 0)
 	th := m.Spawn(p, "r", func(th *Thread) {
-		n, err := fs.Read(th, f, 0, buf, plen)
+		n, err := fs.Read(th, f, 0, buf, plen, false)
 		if err != nil || n != plen {
 			t.Errorf("read: %d %v", n, err)
 		}
 		// Offset read + short read at EOF.
-		n, err = fs.Read(th, f, plen-16, buf, 64)
+		n, err = fs.Read(th, f, plen-16, buf, 64, false)
 		if err != nil || n != 16 {
 			t.Errorf("tail read: %d %v", n, err)
 		}
-		n, _ = fs.Read(th, f, plen+5, buf, 64)
+		n, _ = fs.Read(th, f, plen+5, buf, 64, false)
 		if n != 0 {
 			t.Errorf("past-EOF read: %d", n)
 		}
@@ -71,13 +71,7 @@ func TestFSReadCopierOverlaps(t *testing.T) {
 		got := make([]byte, n)
 		th := m.Spawn(p, "r", func(th *Thread) {
 			start := th.Now()
-			var err error
-			if copier {
-				_, err = fs.ReadCopier(th, f, 0, buf, n)
-			} else {
-				_, err = fs.Read(th, f, 0, buf, n)
-			}
-			if err != nil {
+			if _, err := fs.Read(th, f, 0, buf, n, copier); err != nil {
 				t.Error(err)
 			}
 			// Work during the window, then sync and verify.
@@ -121,18 +115,12 @@ func TestSendFileBothPaths(t *testing.T) {
 		ss, cs := m.Net().SocketPair("s", "c")
 		rbuf := mkbuf(t, cli, n, 0)
 		tx := m.Spawn(srv, "tx", func(th *Thread) {
-			var err error
-			if copier {
-				err = fs.SendFileCopier(th, ss, f, 0, n)
-			} else {
-				err = fs.SendFile(th, ss, f, 0, n)
-			}
-			if err != nil {
+			if err := fs.SendFile(th, ss, f, 0, n, copier); err != nil {
 				t.Error(err)
 			}
 		})
 		rx := m.Spawn(cli, "rx", func(th *Thread) {
-			got, err := cs.Recv(th, rbuf, n)
+			got, err := cs.Recv(th, rbuf, n, false)
 			if err != nil || got != n {
 				t.Errorf("recv %d %v", got, err)
 			}
@@ -164,15 +152,15 @@ func TestSendFileSkipsUserCopy(t *testing.T) {
 	var sendfileT, readSendT int64
 	th := m.Spawn(srv, "t", func(th *Thread) {
 		s0 := th.Now()
-		if err := fs.SendFile(th, ss, f, 0, n); err != nil {
+		if err := fs.SendFile(th, ss, f, 0, n, false); err != nil {
 			t.Error(err)
 		}
 		sendfileT = int64(th.Now() - s0)
 		s1 := th.Now()
-		if _, err := fs.Read(th, f, 0, buf, n); err != nil {
+		if _, err := fs.Read(th, f, 0, buf, n, false); err != nil {
 			t.Error(err)
 		}
-		if err := ss.Send(th, buf, n); err != nil {
+		if err := ss.Send(th, buf, n, false); err != nil {
 			t.Error(err)
 		}
 		readSendT = int64(th.Now() - s1)

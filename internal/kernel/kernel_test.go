@@ -219,12 +219,12 @@ func TestSendRecvBaseline(t *testing.T) {
 	rbuf := mkbuf(t, receiver, n, 0)
 	var got units.Bytes
 	tx := m.Spawn(sender, "tx", func(th *Thread) {
-		if err := sa.Send(th, sbuf, n); err != nil {
+		if err := sa.Send(th, sbuf, n, false); err != nil {
 			t.Error(err)
 		}
 	})
 	rx := m.Spawn(receiver, "rx", func(th *Thread) {
-		g, err := sb.Recv(th, rbuf, n)
+		g, err := sb.Recv(th, rbuf, n, false)
 		if err != nil {
 			t.Error(err)
 		}
@@ -268,23 +268,15 @@ func TestSendRecvCopierOverlapsAndIsCorrect(t *testing.T) {
 		const iters = 20
 		tx := m.Spawn(sender, "tx", func(th *Thread) {
 			// Warm-up message, then measure steady state.
-			var err error
 			for i := 0; i < 3; i++ {
-				if copier {
-					err = sa.SendCopier(th, sbuf, n)
-				} else {
-					err = sa.Send(th, sbuf, n)
+				if err := sa.Send(th, sbuf, n, copier); err != nil {
+					t.Error(err)
 				}
 				th.Exec(50_000)
 			}
 			start := th.Now()
 			for i := 0; i < iters; i++ {
-				if copier {
-					err = sa.SendCopier(th, sbuf, n)
-				} else {
-					err = sa.Send(th, sbuf, n)
-				}
-				if err != nil {
+				if err := sa.Send(th, sbuf, n, copier); err != nil {
 					t.Error(err)
 				}
 				th.Exec(50_000) // app pacing between sends
@@ -292,17 +284,12 @@ func TestSendRecvCopierOverlapsAndIsCorrect(t *testing.T) {
 			latency = (th.Now() - start - iters*50_000) / iters
 		})
 		rx := m.Spawn(receiver, "rx", func(th *Thread) {
-			var err error
 			for i := 0; i < iters+3; i++ {
-				if copier {
-					_, err = sb.RecvCopier(th, rbuf, n)
-					if err == nil {
-						// App work during the Copy-Use window, then sync.
-						th.Exec(cycles.Mul(n, cycles.ParseByteNum, cycles.ParseByteDen))
-						err = m.Attachment(receiver).Lib.Csync(th, rbuf, n)
-					}
-				} else {
-					_, err = sb.Recv(th, rbuf, n)
+				_, err := sb.Recv(th, rbuf, n, copier)
+				if err == nil && copier {
+					// App work during the Copy-Use window, then sync.
+					th.Exec(cycles.Mul(n, cycles.ParseByteNum, cycles.ParseByteDen))
+					err = m.Attachment(receiver).Lib.Csync(th, rbuf, n)
 				}
 				if err != nil {
 					t.Error(err)
@@ -355,7 +342,7 @@ func TestZeroCopySendAlignmentAndOwnership(t *testing.T) {
 	})
 	var got []byte
 	rx := m.Spawn(receiver, "rx", func(th *Thread) {
-		g, err := sb.Recv(th, rbuf, n)
+		g, err := sb.Recv(th, rbuf, n, false)
 		if err != nil || g != n {
 			t.Errorf("recv: %d %v", g, err)
 		}
@@ -379,10 +366,10 @@ func TestSkbPoolReuse(t *testing.T) {
 	rbuf := mkbuf(t, p, n, 0)
 	w := m.Spawn(p, "worker", func(th *Thread) {
 		for i := 0; i < 5; i++ {
-			if err := sa.Send(th, sbuf, n); err != nil {
+			if err := sa.Send(th, sbuf, n, false); err != nil {
 				t.Error(err)
 			}
-			if _, err := sb.Recv(th, rbuf, n); err != nil {
+			if _, err := sb.Recv(th, rbuf, n, false); err != nil {
 				t.Error(err)
 			}
 		}
@@ -472,13 +459,7 @@ func TestCoWFaultBaselineVsCopier(t *testing.T) {
 		_ = child
 		var blocked sim.Time
 		f := m.Spawn(p, "faulter", func(th *Thread) {
-			var res CoWResult
-			var err error
-			if copier {
-				res, err = th.HandleCoWFaultCopier(p.AS, region, pages*mem.PageSize)
-			} else {
-				res, err = th.HandleCoWFault(p.AS, region, pages*mem.PageSize)
-			}
+			res, err := th.HandleCoWFault(p.AS, region, pages*mem.PageSize, copier)
 			if err != nil {
 				t.Error(err)
 			}
@@ -520,13 +501,7 @@ func TestCoWSinglePageSmallGain(t *testing.T) {
 		m.ForkProcess(p, "child")
 		var blocked sim.Time
 		f := m.Spawn(p, "faulter", func(th *Thread) {
-			var res CoWResult
-			var err error
-			if copier {
-				res, err = th.HandleCoWFaultCopier(p.AS, region, mem.PageSize)
-			} else {
-				res, err = th.HandleCoWFault(p.AS, region, mem.PageSize)
-			}
+			res, err := th.HandleCoWFault(p.AS, region, mem.PageSize, copier)
 			if err != nil {
 				t.Error(err)
 			}

@@ -36,10 +36,6 @@ type SkBuf struct {
 	VA  mem.VA // in the kernel address space
 	Cap units.Bytes
 	Len units.Bytes
-	// zcFrames, when non-nil, marks a zero-copy buffer borrowing the
-	// sender's pinned pages (MSG_ZEROCOPY receive side is not
-	// modelled, matching the paper's Fig. 10 note).
-	release func()
 }
 
 // skbPool recycles kernel buffers by size class, like the slab
@@ -82,11 +78,6 @@ func (p *skbPool) alloc(t *Thread, n units.Bytes) *SkBuf {
 
 // put returns a buffer to the pool.
 func (p *skbPool) put(skb *SkBuf) {
-	if skb.release != nil {
-		skb.release()
-		skb.release = nil
-		return
-	}
 	p.free[skb.Cap] = append(p.free[skb.Cap], skb)
 }
 
@@ -163,69 +154,67 @@ func (s *Socket) deliver(skb *SkBuf) {
 	})
 }
 
-// Send is the baseline send(2): trap, one ERMS copy from user memory
-// into a kernel buffer, protocol processing, NIC doorbell.
-func (s *Socket) Send(t *Thread, buf mem.VA, n units.Bytes) error {
-	if s.closed {
-		return ErrClosed
-	}
-	var err error
-	t.Syscall("send", func() {
-		t.Exec(cycles.SocketBookkeeping)
-		skb := s.net.pool.alloc(t, n)
-		if err = t.KernelCopy(t.m.KernelAS, skb.VA, t.Proc.AS, buf, n); err != nil {
-			s.net.pool.put(skb)
-			return
-		}
-		t.Exec(cycles.SoftIRQPacket + cycles.NICDoorbell)
-		s.deliver(skb)
-	})
-	return err
-}
-
 // CopierFallbackMin is the copy size below which the Copier
 // integrations fall back to the synchronous path — §4.6: async only
 // pays off for kernel copies >=0.3KB, and "for the unsuitable cases,
 // developers can fall back to prior sync copy".
 const CopierFallbackMin = 384
 
-// SendCopier is send(2) on Copier-Linux (§5.2): the socket layer
-// submits a k-mode Copy Task for the user→skb copy; TCP/IP processing
-// needs only metadata (checksum offloaded to the NIC), and the driver
-// csyncs just before ringing the NIC TX doorbell — the Copy-Use
-// window is the protocol processing time.
-func (s *Socket) SendCopier(t *Thread, buf mem.VA, n units.Bytes) error {
-	a := t.m.Attachment(t.Proc)
-	if a == nil || n < CopierFallbackMin {
-		return s.Send(t, buf, n)
-	}
+// Send is send(2): trap, copy the user buffer into a kernel buffer,
+// protocol processing, NIC doorbell (SendSkb). copier selects the
+// Copier-Linux data path (§5.2); a process without an attachment, or
+// a message shorter than CopierFallbackMin, copies synchronously.
+func (s *Socket) Send(t *Thread, buf mem.VA, n units.Bytes, copier bool) error {
 	if s.closed {
 		return ErrClosed
+	}
+	a := t.copierFor(copier)
+	if n < CopierFallbackMin {
+		a = nil
 	}
 	var err error
 	t.Syscall("send", func() {
 		t.Exec(cycles.SocketBookkeeping)
-		skb := s.net.pool.alloc(t, n)
+		err = s.SendSkb(t, a, t.Proc.AS, buf, n)
+	})
+	return err
+}
+
+// SendSkb is the send data path from any kernel context (send(2),
+// sendfile, Userspace Bypass, io_uring's kthread): allocate a kernel
+// buffer, copy n bytes from srcAS at buf into it, and hand it to the
+// NIC. A nil attachment copies with ERMS before the protocol work.
+// Otherwise the copy is a k-mode Copy Task (§5.2): TCP/IP processing
+// needs only packet metadata (checksum offloaded to the NIC), and the
+// driver csyncs just before ringing the TX doorbell, so the Copy-Use
+// window is the protocol processing time. A failed copy frees the
+// buffer.
+func (s *Socket) SendSkb(t *Thread, a *CopierAttachment, srcAS *mem.AddrSpace, buf mem.VA, n units.Bytes) error {
+	skb := s.net.pool.alloc(t, n)
+	var err error
+	if a == nil {
+		if err = t.KernelCopy(t.m.KernelAS, skb.VA, srcAS, buf, n); err == nil {
+			t.Exec(cycles.SoftIRQPacket + cycles.NICDoorbell)
+		}
+	} else {
 		desc := core.NewDescriptor(skb.VA, n, core.DefaultSegSize)
 		err = a.Lib.AmemcpyOpts(t, skb.VA, buf, n, libcopier.Opts{
 			KMode: true, Desc: desc, NoTrack: true,
-			SrcAS: t.Proc.AS, DstAS: t.m.KernelAS,
+			SrcAS: srcAS, DstAS: t.m.KernelAS,
 		})
-		if err != nil {
-			s.net.pool.put(skb)
-			return
+		if err == nil {
+			t.Exec(cycles.SoftIRQPacket)
+			if err = a.Lib.CsyncDesc(t, desc, 0, n); err == nil {
+				t.Exec(cycles.NICDoorbell)
+			}
 		}
-		// TCP/IP layers use packet metadata only (§5.2).
-		t.Exec(cycles.SoftIRQPacket)
-		// Driver syncs before enqueueing into the NIC TX queue.
-		if err = a.Lib.CsyncDesc(t, desc, 0, n); err != nil {
-			s.net.pool.put(skb)
-			return
-		}
-		t.Exec(cycles.NICDoorbell)
-		s.deliver(skb)
-	})
-	return err
+	}
+	if err != nil {
+		s.net.pool.put(skb)
+		return err
+	}
+	s.deliver(skb)
+	return nil
 }
 
 // ErrZeroCopyUnsupported marks buffers zero-copy send cannot take
@@ -304,66 +293,58 @@ func (s *Socket) SendZeroCopy(t *Thread, buf mem.VA, n units.Bytes) (*ZeroCopyCo
 	return z, nil
 }
 
-// Recv is the baseline recv(2): block for data, one ERMS copy from
-// the kernel buffer to user memory, free the buffer.
-func (s *Socket) Recv(t *Thread, buf mem.VA, n units.Bytes) (units.Bytes, error) {
+// Recv is recv(2): block for a message, then copy it to user memory
+// (RecvSkb). copier selects the Copier-Linux data path (§5.2), which
+// returns once the copy is submitted; the app csyncs before touching
+// the data, overlapping the copy with its post-recv processing. A
+// process without an attachment, or a queued message shorter than
+// CopierFallbackMin, copies synchronously.
+func (s *Socket) Recv(t *Thread, buf mem.VA, n units.Bytes, copier bool) (units.Bytes, error) {
+	a := t.copierFor(copier)
+	if next := s.PeekLen(); next > 0 && next < CopierFallbackMin {
+		a = nil
+	}
 	var got units.Bytes
 	var err error
 	t.Syscall("recv", func() {
 		t.Exec(cycles.SocketBookkeeping)
-		skb := s.waitData(t)
-		if skb == nil {
-			err = ErrClosed
-			return
-		}
-		got = skb.Len
-		if got > n {
-			got = n
-		}
-		if err = t.KernelCopy(t.Proc.AS, buf, t.m.KernelAS, skb.VA, got); err != nil {
-			return
-		}
-		t.Exec(200) // skb free fast path
-		s.net.pool.put(skb)
+		got, err = s.RecvSkb(t, a, t.Proc.AS, buf, n, false)
 	})
 	return got, err
 }
 
-// RecvCopier is recv(2) on Copier-Linux (§5.2): the kernel submits a
-// Copy Task (skb→user) with a KFUNC reclaiming the socket buffer and
-// returns immediately; the app csyncs before touching the data,
-// overlapping the copy with its post-recv processing.
-func (s *Socket) RecvCopier(t *Thread, buf mem.VA, n units.Bytes) (units.Bytes, error) {
-	a := t.m.Attachment(t.Proc)
-	if a == nil {
-		return s.Recv(t, buf, n)
+// RecvSkb is the receive data path from any kernel context (recv(2),
+// Userspace Bypass, io_uring's kthread, a proxy's lazy recv): wait for
+// the next message and copy up to n bytes of it to dstAS at buf. A nil
+// attachment copies with ERMS and frees the buffer. Otherwise the copy
+// is a k-mode Copy Task, lazy if asked (§4.4), with a KFUNC that frees
+// the buffer; the caller csyncs before use. A failed copy frees the
+// buffer and returns (0, err).
+func (s *Socket) RecvSkb(t *Thread, a *CopierAttachment, dstAS *mem.AddrSpace, buf mem.VA, n units.Bytes, lazy bool) (units.Bytes, error) {
+	skb := s.waitData(t)
+	if skb == nil {
+		return 0, ErrClosed
 	}
-	// Small messages fall back to the sync copy (§4.6); peek the
-	// queued size.
-	if next := s.PeekLen(); next > 0 && next < CopierFallbackMin {
-		return s.Recv(t, buf, n)
-	}
-	var got units.Bytes
+	got := min(skb.Len, n)
+	pool := s.net.pool
 	var err error
-	t.Syscall("recv", func() {
-		t.Exec(cycles.SocketBookkeeping)
-		skb := s.waitData(t)
-		if skb == nil {
-			err = ErrClosed
-			return
+	if a == nil {
+		if err = t.KernelCopy(dstAS, buf, t.m.KernelAS, skb.VA, got); err == nil {
+			t.Exec(200) // skb free fast path
+			pool.put(skb)
 		}
-		got = skb.Len
-		if got > n {
-			got = n
-		}
-		pool := s.net.pool
+	} else {
 		err = a.Lib.AmemcpyOpts(t, buf, skb.VA, got, libcopier.Opts{
-			KMode: true,
-			SrcAS: t.m.KernelAS, DstAS: t.Proc.AS,
+			KMode: true, Lazy: lazy,
+			SrcAS: t.m.KernelAS, DstAS: dstAS,
 			Handler: &core.Handler{Kernel: true, Cost: 200, Fn: func() { pool.put(skb) }},
 		})
-	})
-	return got, err
+	}
+	if err != nil {
+		pool.put(skb)
+		return 0, err
+	}
+	return got, nil
 }
 
 // waitData blocks until a message is queued (or the socket closes).
@@ -390,9 +371,8 @@ func (s *Socket) PeekLen() units.Bytes {
 
 func (s *Socket) String() string { return fmt.Sprintf("socket(%s)", s.name) }
 
-// The helpers below expose the socket-layer building blocks to
-// syscall-bypass baselines (Userspace Bypass, io_uring) that perform
-// the same kernel work from their own contexts.
+// The helpers below expose the socket-layer building blocks to zIO's
+// gather send, which fills one buffer from several user ranges.
 
 // AllocSkb allocates a kernel buffer of capacity >= n.
 func (n *Network) AllocSkb(t *Thread, size units.Bytes) *SkBuf { return n.pool.alloc(t, size) }
@@ -402,41 +382,3 @@ func (n *Network) FreeSkb(skb *SkBuf) { n.pool.put(skb) }
 
 // DeliverSkb schedules NIC delivery of a filled buffer to the peer.
 func (s *Socket) DeliverSkb(skb *SkBuf) { s.deliver(skb) }
-
-// WaitSkb blocks until a message is queued (nil when closed).
-func (s *Socket) WaitSkb(t *Thread) *SkBuf { return s.waitData(t) }
-
-// SendSkbCopier performs the Copier-integrated send data path from an
-// arbitrary kernel context: async copy into the skb, protocol work on
-// metadata, csync before the NIC doorbell.
-func (s *Socket) SendSkbCopier(t *Thread, a *CopierAttachment, skb *SkBuf, srcAS *mem.AddrSpace, buf mem.VA, n units.Bytes) error {
-	desc := core.NewDescriptor(skb.VA, n, core.DefaultSegSize)
-	err := a.Lib.AmemcpyOpts(t, skb.VA, buf, n, libcopier.Opts{
-		KMode: true, Desc: desc, NoTrack: true,
-		SrcAS: srcAS, DstAS: t.m.KernelAS,
-	})
-	if err != nil {
-		s.net.pool.put(skb)
-		return err
-	}
-	t.Exec(cycles.SoftIRQPacket)
-	if err := a.Lib.CsyncDesc(t, desc, 0, n); err != nil {
-		s.net.pool.put(skb)
-		return err
-	}
-	t.Exec(cycles.NICDoorbell)
-	s.deliver(skb)
-	return nil
-}
-
-// RecvSkbCopier performs the Copier-integrated receive data path: the
-// skb→user copy is submitted async with a KFUNC reclaiming the
-// buffer; the caller csyncs before use.
-func (s *Socket) RecvSkbCopier(t *Thread, a *CopierAttachment, skb *SkBuf, dstAS *mem.AddrSpace, buf mem.VA, n units.Bytes) error {
-	pool := s.net.pool
-	return a.Lib.AmemcpyOpts(t, buf, skb.VA, n, libcopier.Opts{
-		KMode: true,
-		SrcAS: t.m.KernelAS, DstAS: dstAS,
-		Handler: &core.Handler{Kernel: true, Cost: 200, Fn: func() { pool.put(skb) }},
-	})
-}

@@ -35,7 +35,7 @@ func TestWaitAnyReadableMultiplexes(t *testing.T) {
 					order = append(order, j)
 				}
 			}
-			if _, err := s.Recv(th, rbuf, 1024); err != nil {
+			if _, err := s.Recv(th, rbuf, 1024, false); err != nil {
 				t.Error(err)
 			}
 		}
@@ -43,7 +43,7 @@ func TestWaitAnyReadableMultiplexes(t *testing.T) {
 	client := m.Spawn(cli, "client", func(th *Thread) {
 		// Send on sockets 2, 0, 1 with gaps.
 		for _, i := range []int{2, 0, 1} {
-			if err := clientSocks[i].Send(th, sbuf, 1024); err != nil {
+			if err := clientSocks[i].Send(th, sbuf, 1024, false); err != nil {
 				t.Error(err)
 			}
 			th.Exec(50_000)
@@ -118,7 +118,7 @@ func TestZeroCopyOwnershipReturnsBeforeDelivery(t *testing.T) {
 		ownershipAt = th.Now()
 	})
 	rx := m.Spawn(rcv, "rx", func(th *Thread) {
-		if _, err := sb.Recv(th, rbuf, n); err != nil {
+		if _, err := sb.Recv(th, rbuf, n, false); err != nil {
 			t.Error(err)
 		}
 		deliveryAt = th.Now()
@@ -167,7 +167,7 @@ func TestZeroCopyPinBalance(t *testing.T) {
 		}
 	})
 	rx := m.Spawn(rcv, "rx", func(th *Thread) {
-		if _, err := sb.Recv(th, rbuf, n); err != nil {
+		if _, err := sb.Recv(th, rbuf, n, false); err != nil {
 			t.Error(err)
 		}
 	})
@@ -185,10 +185,10 @@ func TestRecvCopierFallsBackWithoutAttachment(t *testing.T) {
 	sbuf := mkbuf(t, p, n, 0x31)
 	rbuf := mkbuf(t, p, n, 0)
 	th := m.Spawn(p, "t", func(th *Thread) {
-		if err := sa.SendCopier(th, sbuf, n); err != nil {
+		if err := sa.Send(th, sbuf, n, true); err != nil {
 			t.Error(err)
 		}
-		if _, err := sb.RecvCopier(th, rbuf, n); err != nil {
+		if _, err := sb.Recv(th, rbuf, n, true); err != nil {
 			t.Error(err)
 		}
 		got := make([]byte, n)

@@ -88,6 +88,16 @@ func (m *Machine) Attachment(p *Process) *CopierAttachment {
 	return m.copier.attach[p.PID]
 }
 
+// copierFor is the attachment a Copier-integrated operation copies
+// through: the process's when copier is set, nil (the synchronous
+// path) when it is not or the process has no attachment.
+func (t *Thread) copierFor(copier bool) *CopierAttachment {
+	if !copier {
+		return nil
+	}
+	return t.m.Attachment(t.Proc)
+}
+
 // Syscall wraps fn with the user→kernel→user boundary costs and, when
 // the process is a Copier client, the cross-queue Barrier Tasks at
 // trap and return (§4.2.1).

@@ -232,7 +232,7 @@ func (l *Lib) Csync(ctx core.Ctx, addr mem.VA, n units.Bytes) error {
 		if end := ad.desc.Base + mem.VA(ad.desc.Len); end < hi {
 			hi = end
 		}
-		if err := l.csyncDesc(ctx, ad, units.Bytes(lo-ad.desc.Base), units.Bytes(hi-lo), false); err != nil {
+		if err := l.csyncDesc(ctx, ad, units.Bytes(lo-ad.desc.Base), units.Bytes(hi-lo)); err != nil {
 			return err
 		}
 	}
@@ -244,10 +244,12 @@ func (l *Lib) Csync(ctx core.Ctx, addr mem.VA, n units.Bytes) error {
 func (l *Lib) CsyncDesc(ctx core.Ctx, desc *core.Descriptor, off, n units.Bytes) error {
 	ctx.Exec(cycles.CsyncCheck)
 	l.Csyncs++
-	return l.csyncDesc(ctx, &activeDesc{desc: desc}, off, n, false)
+	return l.csyncDesc(ctx, &activeDesc{desc: desc}, off, n)
 }
 
-func (l *Lib) csyncDesc(ctx core.Ctx, ad *activeDesc, off, n units.Bytes, kmode bool) error {
+// csyncDesc waits until [off, off+n) of ad's descriptor has landed,
+// raising the missing segments with a Sync Task on the user queue.
+func (l *Lib) csyncDesc(ctx core.Ctx, ad *activeDesc, off, n units.Bytes) error {
 	d := ad.desc
 	if d.Err != nil {
 		return d.Err
@@ -258,7 +260,7 @@ func (l *Lib) csyncDesc(ctx core.Ctx, ad *activeDesc, off, n units.Bytes, kmode 
 		return nil
 	}
 	ctx.Exec(cycles.CsyncSubmit)
-	l.client.SubmitSync(d.Base+mem.VA(off), n, kmode)
+	l.client.SubmitSync(d.Base+mem.VA(off), n, false)
 	// Wait on the descriptor's own watch signal: descriptors on
 	// shared memory may be csynced by a process other than the
 	// submitter (§5.1.1).
@@ -288,7 +290,7 @@ func (l *Lib) CsyncAll(ctx core.Ctx) error {
 	var firstErr error
 	for len(l.active) > 0 {
 		ad := l.active[len(l.active)-1]
-		err := l.csyncDesc(ctx, ad, 0, ad.desc.Len, false)
+		err := l.csyncDesc(ctx, ad, 0, ad.desc.Len)
 		if err != nil && firstErr == nil {
 			firstErr = err
 		}
@@ -429,7 +431,7 @@ func (l *Lib) CsyncShm(ctx core.Ctx, addr mem.VA, n units.Bytes) error {
 			if off+n > b.Desc.Len {
 				n = b.Desc.Len - off
 			}
-			return l.csyncDesc(ctx, &activeDesc{desc: b.Desc}, off, n, false)
+			return l.csyncDesc(ctx, &activeDesc{desc: b.Desc}, off, n)
 		}
 	}
 	return l.Csync(ctx, addr, n)
